@@ -18,7 +18,8 @@
 // performance trajectory (BENCH_*.json, see internal/benchio): -bench-out
 // measures the pinned benchmark subset and writes the JSON snapshot;
 // -bench-against compares a fresh measurement with a committed snapshot
-// and exits non-zero on staleness or an allocs/op regression (> 20%).
+// and exits non-zero on staleness or an allocs/op or bytes/op regression
+// (> 20%).
 //
 //	gatherbench -bench-out BENCH_PR6.json -bench-label PR6
 //	gatherbench -bench-against BENCH_PR6.json     # the CI bench-smoke gate
@@ -88,7 +89,7 @@ func gatherbenchMain() int {
 		stratFlag = flag.String("strategy", "paper", "gathering strategy the suite's round simulations drive: paper or lintime; paper-specific accounting columns read zero under lintime, and E-strat sweeps its own axis regardless")
 
 		benchOut     = flag.String("bench-out", "", "measure the pinned benchmark subset and write the JSON trajectory snapshot to this file (skips the experiment suite)")
-		benchAgainst = flag.String("bench-against", "", "compare a fresh measurement of the pinned subset against this committed snapshot; exit non-zero on staleness or >20% allocs/op regression")
+		benchAgainst = flag.String("bench-against", "", "compare a fresh measurement of the pinned subset against this committed snapshot; exit non-zero on staleness or a >20% allocs/op or bytes/op regression")
 		benchLabel   = flag.String("bench-label", "dev", "label recorded in the -bench-out snapshot (e.g. PR2)")
 		benchNote    = flag.String("bench-note", "", "semicolon-separated notes recorded in the -bench-out snapshot (context for the trajectory, e.g. the before/after of a perf PR)")
 

@@ -81,12 +81,19 @@ func Read(path string) (*Report, error) {
 	return &r, nil
 }
 
+// BytesSlack is the absolute bytes/op slack of Compare: entries that
+// allocate (nearly) nothing still pick up a few hundred bytes per op from
+// the runtime's own bookkeeping, so the relative tolerance alone would make
+// them flake.
+const BytesSlack = 4096
+
 // Compare checks a freshly measured report against the committed one and
 // returns human-readable violations (empty = pass). It flags staleness —
 // the two reports pin different benchmark sets — and allocation
 // regressions: a fresh allocs/op above committed*(1+tol)+1 (the +1 keeps
-// zero-alloc entries comparable against measurement jitter). Timing fields
-// are documentation, not contract, and are never compared.
+// zero-alloc entries comparable against measurement jitter) or a fresh
+// bytes/op above committed*(1+tol)+BytesSlack. Timing fields are
+// documentation, not contract, and are never compared.
 func Compare(committed, fresh *Report, tol float64) []string {
 	var violations []string
 	for i := range committed.Entries {
@@ -101,6 +108,11 @@ func Compare(committed, fresh *Report, tol float64) []string {
 			violations = append(violations,
 				fmt.Sprintf("allocs/op regression on %q: %.1f measured vs %.1f recorded (limit %.1f)",
 					c.Name, f.AllocsPerOp, c.AllocsPerOp, limit))
+		}
+		if limit := c.BytesPerOp*(1+tol) + BytesSlack; f.BytesPerOp > limit {
+			violations = append(violations,
+				fmt.Sprintf("bytes/op regression on %q: %.0f measured vs %.0f recorded (limit %.0f)",
+					c.Name, f.BytesPerOp, c.BytesPerOp, limit))
 		}
 	}
 	for i := range fresh.Entries {

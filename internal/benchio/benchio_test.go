@@ -115,6 +115,30 @@ func TestCompare(t *testing.T) {
 		t.Errorf("zero-alloc regression not flagged: %v", v)
 	}
 
+	// Bytes/op: relative tolerance plus the absolute slack.
+	committed = fixture()
+	fresh = fixture()
+	fresh.Entry("GatherSquare/n=512").BytesPerOp = 870176 * 1.15
+	if v := Compare(committed, fresh, 0.20); len(v) != 0 {
+		t.Errorf("in-tolerance bytes/op drift must pass, got %v", v)
+	}
+	fresh.Entry("GatherSquare/n=512").BytesPerOp = 870176 * 60
+	v = Compare(committed, fresh, 0.20)
+	if len(v) != 1 || !strings.Contains(v[0], "bytes/op regression") {
+		t.Errorf("bytes/op regression not flagged: %v", v)
+	}
+
+	// Near-zero entries get BytesSlack of absolute slack, not a free pass.
+	fresh = fixture()
+	fresh.Entry("StepSquare/n=512").BytesPerOp = BytesSlack - 1
+	if v := Compare(committed, fresh, 0.20); len(v) != 0 {
+		t.Errorf("sub-slack bytes/op drift on a zero-byte entry must pass, got %v", v)
+	}
+	fresh.Entry("StepSquare/n=512").BytesPerOp = 3 * BytesSlack
+	if v := Compare(committed, fresh, 0.20); len(v) != 1 || !strings.Contains(v[0], "bytes/op") {
+		t.Errorf("zero-byte entry regression not flagged: %v", v)
+	}
+
 	// Staleness, both directions.
 	committed = fixture()
 	fresh = fixture()

@@ -7,6 +7,7 @@
 // The encoding is deterministic (entries sorted by name, fixed field
 // order), which keeps committed reports diffable. Wall-clock numbers
 // (ns/op, tasks/s) document the machine they were measured on and are
-// never compared across machines; allocation counts are a pure function
-// of the workload and are what Compare checks in CI.
+// never compared across machines; allocation counts and bytes are a pure
+// function of the workload (up to runtime bookkeeping, which Compare's
+// slack absorbs) and are what Compare checks in CI.
 package benchio

@@ -131,29 +131,42 @@ func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 		return
 	}
 	maxLen := a.cfg.MaxMergeLen
-	prev := a.ch.Edge(lo - 1)
+	// Read positions straight from the ring order and the flat position
+	// store, as view.Snapshot does: one array lookup per robot, streamed.
+	order, pos := a.ch.Handles(), a.ch.PosStore()
+	at := func(i int) grid.Vec { return pos[order[chain.WrapIndex(i, n)]] }
+	p := at(lo)
+	prev := p.Sub(at(lo - 1))
 	for i := lo; i < hi; i++ {
-		cur := a.ch.Edge(i)
+		q := at(i + 1)
+		cur := q.Sub(p)
 		if prev.IsAxisUnit() && cur == prev.Neg() {
 			w.spikes = append(w.spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
 		}
 		if cur != prev {
 			// Edge i starts a maximal straight run (a closed chain has at
 			// least two direction changes, so the scan always terminates).
-			l := 1
-			for l < maxLen && a.ch.Edge(i+l) == cur {
+			// after is the edge that ends the run; it is read only when
+			// the run ends short of maxLen.
+			l, end := 1, q
+			var after grid.Vec
+			for l < maxLen {
+				next := at(i + l + 1)
+				if after = next.Sub(end); after != cur {
+					break
+				}
+				end = next
 				l++
 			}
 			// l == maxLen means k = l+1 > MaxMergeLen whatever the run's
 			// true length; below it l is the exact maximal run length.
 			if k := l + 1; l < maxLen && k+2 <= n {
-				after := a.ch.Edge(i + l)
 				if after.IsAxisUnit() && after == prev.Neg() && after.Perp(cur) {
 					w.uturns = append(w.uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
 				}
 			}
 		}
-		prev = cur
+		prev, p = cur, q
 	}
 }
 

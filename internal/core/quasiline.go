@@ -23,11 +23,21 @@ type StartSpec struct {
 	Hop grid.Vec
 }
 
+// The Dirs of every StartSpec DetectStart returns: shared read-only
+// slices, so a start decision allocates nothing.
+var (
+	cornerDirs = []int{+1, -1}
+	plusDir    = []int{+1}
+	minusDir   = []int{-1}
+)
+
 // alignedTriple reports whether the robot and its next two chain neighbours
 // in direction d form a straight segment (the "first three robots aligned"
 // requirement of Definition 1 on the quasi line containing the observer).
-func alignedTriple(s view.Snapshot, d int) bool {
-	return s.ChainLen() >= 3 && s.AlignedAhead(d) >= 2
+// ahead is the leading edge s.Edge(0, d). Exactly two edges are read: the
+// leading one must be an axis unit and the next one must repeat it.
+func alignedTriple(s *view.Snapshot, d int, ahead grid.Vec) bool {
+	return s.V() >= 2 && s.ChainLen() >= 3 && ahead.IsAxisUnit() && s.Edge(d, d) == ahead
 }
 
 // DetectStart checks the run start patterns of Fig 5 at the observing
@@ -46,59 +56,53 @@ func alignedTriple(s view.Snapshot, d int) bool {
 //
 // Chains shorter than MinChainForRuns never start runs: the inspected
 // windows would self-overlap and such chains always shorten by merges
-// alone.
+// alone. The returned Dirs slice is shared; callers must not mutate it.
 func DetectStart(s view.Snapshot) (StartSpec, bool) {
 	if s.ChainLen() < MinChainForRuns {
 		return StartSpec{}, false
 	}
-	aheadPlus := alignedTriple(s, +1)
-	aheadMinus := alignedTriple(s, -1)
 	ePlus := s.Edge(0, +1)
 	eMinus := s.Edge(0, -1)
+	aheadPlus := alignedTriple(&s, +1, ePlus)
+	aheadMinus := alignedTriple(&s, -1, eMinus)
 
 	// Corner start: straight >= 3 on both sides, perpendicular.
 	if aheadPlus && aheadMinus && ePlus.Perp(eMinus) {
 		return StartSpec{
-			Dirs: []int{+1, -1},
+			Dirs: cornerDirs,
 			Kind: StartCorner,
 			Hop:  ePlus.Add(eMinus),
 		}, true
 	}
 
 	// Stairway start, trying each direction as the quasi-line side.
-	for _, d := range [2]int{+1, -1} {
-		if spec, ok := stairwayStart(s, d); ok {
-			return spec, true
-		}
+	if aheadPlus && stairwayBehind(&s, +1, ePlus, eMinus) {
+		return StartSpec{Dirs: plusDir, Kind: StartStairway}, true
+	}
+	if aheadMinus && stairwayBehind(&s, -1, eMinus, ePlus) {
+		return StartSpec{Dirs: minusDir, Kind: StartStairway}, true
 	}
 	return StartSpec{}, false
 }
 
-// stairwayStart checks the Fig 5.(i) pattern with the quasi line extending
-// in direction d and the stairway behind (-d).
-func stairwayStart(s view.Snapshot, d int) (StartSpec, bool) {
-	if !alignedTriple(s, d) {
-		return StartSpec{}, false
-	}
-	axis := s.Edge(0, d)
-	b1 := s.Edge(0, -d) // self -> first robot behind
+// stairwayBehind checks the rest of the Fig 5.(i) pattern once the quasi
+// line is known to extend straight in direction d along axis = s.Edge(0, d):
+// the stairway behind (-d), entered through b1 = s.Edge(0, -d).
+func stairwayBehind(s *view.Snapshot, d int, axis, b1 grid.Vec) bool {
 	if !b1.Perp(axis) {
-		return StartSpec{}, false
+		return false
 	}
 	b2 := s.Edge(-d, -d) // first -> second robot behind
 	if !b2.Parallel(axis) {
 		// Straight on (handled as corner start above), a reversal (a merge
 		// pattern, which suppresses starts), or a second perpendicular
 		// edge: not a stairway.
-		return StartSpec{}, false
+		return false
 	}
+	// A third straight robot behind (b3 == b2) means the quasi line
+	// continues through an interior jog — not an endpoint.
 	b3 := s.Edge(-2*d, -d) // second -> third robot behind
-	if b3 == b2 {
-		// The run behind continues straight: >= 3 robots, so the quasi
-		// line continues through an interior jog — not an endpoint.
-		return StartSpec{}, false
-	}
-	return StartSpec{Dirs: []int{d}, Kind: StartStairway}, true
+	return b3 != b2
 }
 
 // EndpointAhead scans the chain in front of a run (direction d) and reports
@@ -114,6 +118,13 @@ func stairwayStart(s view.Snapshot, d int) (StartSpec, bool) {
 // and last groups — and single perpendicular jog edges. Any confirmed
 // deviation (a perpendicular double edge, a straight group of one edge
 // strictly inside, a reversal or switchback) marks the endpoint.
+//
+// The edges are streamed, not buffered: each group is judged as soon as
+// its verdict is known (on its first edge, on a repeated jog edge, or when
+// it closes) and the scan stops at the first deviation. The cost is the
+// length of the quasi line seen, whatever the viewing range, and the scan
+// allocates nothing — which keeps the unbounded-view pair walk
+// (pairStarts) as cheap as a robot's own look.
 func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
 	maxEdges := min(s.V(), s.ChainLen()-1)
 	if maxEdges < 2 {
@@ -131,67 +142,67 @@ func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
 	if e1.Perp(eT) && e2 != e1 && e2.Parallel(eT) {
 		axis = e2 // standing before a jog: e1 is the jog edge
 	}
-	sameAxis := func(v grid.Vec) bool { return v.Parallel(axis) }
-
-	// Group the edges ahead into maximal runs of identical edges. At the
-	// paper's V = 11 at most 11 groups exist, so a small stack-resident
-	// buffer keeps the per-decision hot path allocation-free; only the
-	// unbounded instrumentation views (pairStarts) can spill to the heap.
-	type group struct {
-		dir      grid.Vec
-		len      int
-		endRobot int // chain offset (in units of d) of the last robot of the group
-	}
-	var groupBuf [16]group
-	groups := groupBuf[:0]
-	for j := 0; j < maxEdges; j++ {
-		e := s.Edge(j*d, d)
-		if len(groups) > 0 && groups[len(groups)-1].dir == e {
-			groups[len(groups)-1].len++
-			groups[len(groups)-1].endRobot = j + 1
-		} else {
-			groups = append(groups, group{dir: e, len: 1, endRobot: j + 1})
-		}
+	lineDir := grid.Vec{}
+	if e1.Parallel(axis) {
+		lineDir = e1
+	} else if e2.Parallel(axis) {
+		lineDir = e2
 	}
 
 	// Walk the groups along the known axis. Straight groups must keep one
 	// direction and span >= 2 edges (except the truncated first and last);
 	// perpendicular jog groups must be single edges between straight
-	// groups. The first confirmed deviation marks the quasi-line end.
-	lineDir := grid.Vec{}
-	if sameAxis(e1) {
-		lineDir = e1
-	} else if sameAxis(e2) {
-		lineDir = e2
-	}
+	// groups. The first confirmed deviation marks the quasi-line end;
+	// lastGood is the last robot of the last straight group judged sound.
 	lastGood := 0
 	prevStraight := false
-	for i, g := range groups {
-		last := i == len(groups)-1
+	var (
+		dir      grid.Vec // edge of the open group
+		size     int      // its edge count
+		straight bool     // whether it lies on the line axis
+		at       grid.Vec // position of the robot the next edge leaves
+	)
+	for j := 0; j <= maxEdges; j++ {
+		var e grid.Vec
+		if j < maxEdges {
+			next := s.Rel((j + 1) * d)
+			e = next.Sub(at)
+			at = next
+			if j > 0 && e == dir {
+				size++
+				if !straight {
+					return lastGood, true // a perpendicular double edge
+				}
+				continue
+			}
+		}
+		if j > 0 {
+			// The open group closes at robot j; it is the final group
+			// exactly when the horizon closed it (it may continue beyond).
+			if straight {
+				if size == 1 && j < maxEdges && j > 1 {
+					// A straight group of a single edge strictly inside the
+					// structure: a two-robot run, i.e. a stairway step.
+					return lastGood, true
+				}
+				lastGood = j
+			}
+			prevStraight = straight
+		}
+		if j == maxEdges {
+			break
+		}
+		dir, size, straight = e, 1, e.Parallel(axis)
 		switch {
-		case sameAxis(g.dir):
-			if !lineDir.IsZero() && g.dir != lineDir {
+		case straight:
+			if !lineDir.IsZero() && e != lineDir {
 				// Reversal or switchback: a merge shape, not a quasi line.
 				return lastGood, true
 			}
-			lineDir = g.dir
-			if i > 0 && g.len == 1 && !last {
-				// A straight group of a single edge strictly inside the
-				// structure: a two-robot run, i.e. a stairway step.
-				return lastGood, true
-			}
-			lastGood = g.endRobot
-			prevStraight = true
-		default:
-			// Perpendicular group: must be a single jog edge, and two jogs
-			// may not follow each other.
-			if g.len >= 2 {
-				return lastGood, true
-			}
-			if i > 0 && !prevStraight {
-				return lastGood, true
-			}
-			prevStraight = false
+			lineDir = e
+		case j > 0 && !prevStraight:
+			// Two jogs may not follow each other.
+			return lastGood, true
 		}
 	}
 	// No confirmed violation within view; the final (possibly truncated)
@@ -203,6 +214,6 @@ func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
 // on a corner with respect to travel direction d: its trailing edge is
 // perpendicular to its leading edge. Runner operations (a) and (b) act only
 // on corners.
-func cornerAt(s view.Snapshot, d int) bool {
+func cornerAt(s *view.Snapshot, d int) bool {
 	return s.Edge(0, -d).Perp(s.Edge(0, d))
 }

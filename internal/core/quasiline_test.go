@@ -259,10 +259,11 @@ func TestEndpointAheadPureStairway(t *testing.T) {
 
 func TestCornerAt(t *testing.T) {
 	c := mustChain(t, squareRing(12)...)
-	if !cornerAt(snap(c, 0), +1) || !cornerAt(snap(c, 12), +1) {
+	corner0, corner12, mid := snap(c, 0), snap(c, 12), snap(c, 5)
+	if !cornerAt(&corner0, +1) || !cornerAt(&corner12, +1) {
 		t.Error("ring corners not recognised")
 	}
-	if cornerAt(snap(c, 5), +1) {
+	if cornerAt(&mid, +1) {
 		t.Error("mid-side robot is not a corner")
 	}
 }

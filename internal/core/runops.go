@@ -145,7 +145,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 	// Fig 14).
 	trigger := min(PassingTriggerDistance, scanMax)
 	for j := 1; j <= trigger; j++ {
-		partner := a.approachingRunAt(s, j*dir, dir)
+		partner := a.approachingRunAt(&s, j*dir, dir)
 		if partner == nil {
 			continue
 		}
@@ -178,7 +178,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 	}
 
 	// Normal mode: reshapement operations at a corner (Fig 11).
-	if !cornerAt(s, dir) {
+	if !cornerAt(&s, dir) {
 		// A run should only stand mid-segment transiently; advance without
 		// hopping and let the structure ahead decide its fate.
 		an.NotOnCorner++
@@ -208,7 +208,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 
 // approachingRunAt returns a run on the robot at view offset k moving
 // towards the observer (direction opposite to dir), or nil.
-func (a *Algorithm) approachingRunAt(s view.Snapshot, k, dir int) *Run {
+func (a *Algorithm) approachingRunAt(s *view.Snapshot, k, dir int) *Run {
 	hr, ok := a.byHandle.Get(s.Robot(k))
 	if !ok {
 		return nil

@@ -95,18 +95,28 @@ func frontCells(p grid.Vec, d grid.Vec) (lf, rf Cell) {
 
 // Rectangle returns the boundary chain of a w x h cell rectangle
 // (n = 2(w+h) robots). Rectangle(m, 1) is the flat ring the algorithm
-// collapses by end merges.
+// collapses by end merges. The chain is the one TraceBoundary yields for
+// the filled rectangle — counterclockwise from (0, 0), heading East — but
+// it is written out side by side, so building it costs O(w+h) instead of
+// a w*h cell map.
 func Rectangle(w, h int) (*chain.Chain, error) {
 	if w < 1 || h < 1 {
 		return nil, fmt.Errorf("%w: rectangle %dx%d", ErrBadParam, w, h)
 	}
-	cells := make(CellSet, w*h)
+	pts := make([]grid.Vec, 0, 2*(w+h))
 	for x := 0; x < w; x++ {
-		for y := 0; y < h; y++ {
-			cells[Cell{x, y}] = true
-		}
+		pts = append(pts, grid.V(x, 0))
 	}
-	return TraceBoundary(cells)
+	for y := 0; y < h; y++ {
+		pts = append(pts, grid.V(w, y))
+	}
+	for x := w; x > 0; x-- {
+		pts = append(pts, grid.V(x, h))
+	}
+	for y := h; y > 0; y-- {
+		pts = append(pts, grid.V(0, y))
+	}
+	return chain.New(pts)
 }
 
 // Histogram returns the boundary of a histogram polyomino: column i has

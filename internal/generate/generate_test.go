@@ -2,6 +2,7 @@ package generate
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -36,6 +37,32 @@ func TestRectangle(t *testing.T) {
 	}
 	if _, err := Rectangle(0, 3); err == nil {
 		t.Error("degenerate rectangle accepted")
+	}
+}
+
+// TestRectangleMatchesTraceBoundary pins the side-by-side construction to
+// the boundary trace of the filled cell rectangle, robot for robot.
+func TestRectangleMatchesTraceBoundary(t *testing.T) {
+	for w := 1; w <= 24; w++ {
+		for h := 1; h <= 24; h++ {
+			got, err := Rectangle(w, h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cells := make(CellSet, w*h)
+			for x := 0; x < w; x++ {
+				for y := 0; y < h; y++ {
+					cells[Cell{x, y}] = true
+				}
+			}
+			want, err := TraceBoundary(cells)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Positions(), want.Positions()) {
+				t.Fatalf("Rectangle(%d, %d) = %v, boundary trace %v", w, h, got.Positions(), want.Positions())
+			}
+		}
 	}
 }
 

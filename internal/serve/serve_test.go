@@ -396,6 +396,30 @@ func TestStreamReplayByteIdentical(t *testing.T) {
 	if rounds := len(lines) - 1; rounds != res.Rounds {
 		t.Fatalf("NDJSON replay has %d round lines, result says %d rounds", rounds, res.Rounds)
 	}
+	if done.Rounds != res.Rounds {
+		t.Fatalf("job view reports %d rounds, result says %d", done.Rounds, res.Rounds)
+	}
+
+	// Both feeds render the one contiguous trace log: every SSE data
+	// event is the NDJSON line of the same round, in roundLine's encoding.
+	var events [][]byte
+	for _, ev := range bytes.Split(live, []byte("\n\n")) {
+		if data, ok := bytes.CutPrefix(ev, []byte("data: ")); ok {
+			events = append(events, data)
+		}
+	}
+	if len(events) != res.Rounds {
+		t.Fatalf("SSE stream has %d round events, result says %d rounds", len(events), res.Rounds)
+	}
+	for i, ev := range events {
+		var rl roundLine
+		if err := json.Unmarshal(ev, &rl); err != nil {
+			t.Fatalf("round event %d: %v", i, err)
+		}
+		if again, _ := json.Marshal(rl); !bytes.Equal(ev, again) || !bytes.Equal(ev, lines[i]) {
+			t.Fatalf("round %d: SSE %s, NDJSON %s, canonical %s", i, ev, lines[i], again)
+		}
+	}
 }
 
 // TestQueueFullRejected pins admission control: with one worker parked

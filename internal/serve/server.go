@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -62,10 +63,14 @@ type entry struct {
 	spec   JobSpec
 	status string
 	errMsg string
-	// lines is the append-only NDJSON round trace. Readers snapshot a
-	// suffix under the server mutex and then iterate lock-free: appends
-	// never mutate published elements, so a snapshot stays valid.
-	lines [][]byte
+	// trace is the append-only NDJSON round trace: one newline-terminated
+	// JSON line per executed round, in one contiguous buffer, and rounds
+	// counts its lines. Readers snapshot it under the server mutex and
+	// then read lock-free: appends only write past the published length,
+	// so a snapshot stays valid. seal copies the buffer to its exact
+	// length, so a finished entry retains no append slack.
+	trace  []byte
+	rounds int
 	// result is the sealed sim.Result JSON, set exactly once when the
 	// entry reaches a terminal status.
 	result []byte
@@ -259,7 +264,8 @@ func (s *Server) runJob(e *entry) {
 			Hops:   rep.MergeHops + rep.RunnerHops + rep.StartHops,
 		})
 		s.mu.Lock()
-		e.lines = append(e.lines, line)
+		e.trace = append(append(e.trace, line...), '\n')
+		e.rounds++
 		s.broadcastLocked(e)
 		s.mu.Unlock()
 		if hook != nil {
@@ -321,6 +327,7 @@ func (s *Server) seal(e *entry, res *sim.Result, status string, err error) {
 	defer s.mu.Unlock()
 	e.status = status
 	e.result = sealed
+	e.trace = bytes.Clone(e.trace)
 	if err != nil {
 		e.errMsg = err.Error()
 	}
@@ -347,7 +354,7 @@ func (s *Server) viewLocked(e *entry, cached bool) jobView {
 		ID:     e.id,
 		Key:    e.key,
 		Status: e.status,
-		Rounds: len(e.lines),
+		Rounds: e.rounds,
 		Cached: cached,
 		Error:  e.errMsg,
 		Result: json.RawMessage(e.result),

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -25,21 +26,23 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Cache-Control", "no-store")
 	flusher, _ := w.(http.Flusher)
 
-	next := 0
+	sent := 0 // trace bytes already streamed
 	for {
 		s.mu.Lock()
-		pending := e.lines[next:]
+		pending := e.trace[sent:]
 		terminal := e.terminal()
 		result := e.result
 		errMsg := e.errMsg
 		wake := e.wake
 		s.mu.Unlock()
 
-		for _, line := range pending {
-			if _, err := fmt.Fprintf(w, "data: %s\n\n", line); err != nil {
+		for len(pending) > 0 {
+			end := bytes.IndexByte(pending, '\n')
+			if _, err := fmt.Fprintf(w, "data: %s\n\n", pending[:end]); err != nil {
 				return
 			}
-			next++
+			pending = pending[end+1:]
+			sent += end + 1
 		}
 		if terminal {
 			payload := result
@@ -81,15 +84,13 @@ func (s *Server) handleReplay(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusConflict, errors.New("serve: job still running; use the SSE stream"))
 		return
 	}
-	lines := e.lines
+	trace := e.trace
 	result := e.result
 	s.mu.Unlock()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, line := range lines {
-		if _, err := fmt.Fprintf(w, "%s\n", line); err != nil {
-			return
-		}
+	if _, err := w.Write(trace); err != nil {
+		return
 	}
 	if result != nil {
 		_, _ = fmt.Fprintf(w, "%s\n", result)

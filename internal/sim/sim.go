@@ -29,7 +29,8 @@ type Options struct {
 	// Strategy selects the gathering strategy the engine drives
 	// (core.NewStrategy). The zero value is the paper's algorithm, so
 	// every pre-arena call site and fixture keeps its meaning; "lintime"
-	// selects the linear-time contraction successor (DESIGN.md §10).
+	// selects the linear-time contraction successor (DESIGN.md §10). Names
+	// are read through core.ParseStrategy, so "paper" is the zero value.
 	Strategy core.StrategyName
 	// MaxRounds overrides the watchdog limit when positive; otherwise the
 	// limit is WatchdogFactor*n + WatchdogSlack.
@@ -96,7 +97,8 @@ func (o Options) Validate() error {
 	if _, err := sched.New(o.Sched); err != nil {
 		return err
 	}
-	if _, err := core.ParseStrategy(string(o.Strategy)); err != nil {
+	strat, err := core.ParseStrategy(string(o.Strategy))
+	if err != nil {
 		return err
 	}
 	// The E11 livelock wall: under the paper strategy any MaxMergeLen below
@@ -106,7 +108,7 @@ func (o Options) Validate() error {
 	// caller explicitly asked for the ablation. (cfg.Validate clamped
 	// MaxMergeLen into [1, V-1] above, so only genuinely reduced values
 	// reach this comparison.)
-	if o.Strategy == core.StrategyPaper && !o.AllowLivelockConfig &&
+	if strat == core.StrategyPaper && !o.AllowLivelockConfig &&
 		cfg.MaxMergeLen < cfg.ViewingPathLength-1 {
 		return fmt.Errorf("%w: MaxMergeLen %d < V-1 = %d parks every square-ring endgame with side > %d forever (E11); use MaxMergeLen = %d or set AllowLivelockConfig for deliberate ablations",
 			ErrLivelockConfig, cfg.MaxMergeLen, cfg.ViewingPathLength-1,
@@ -289,6 +291,13 @@ func NewEngine(ch *chain.Chain, opts Options) (*Engine, error) {
 	if opts.WatchdogSlack <= 0 {
 		opts.WatchdogSlack = DefaultWatchdogSlack
 	}
+	// Store the canonical strategy name, so "paper" runs, checkpoints and
+	// serialises exactly like the zero value.
+	strat, err := core.ParseStrategy(string(opts.Strategy))
+	if err != nil {
+		return nil, err
+	}
+	opts.Strategy = strat
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

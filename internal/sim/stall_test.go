@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"testing"
@@ -118,5 +120,79 @@ func TestLivelockConfigRejected(t *testing.T) {
 	bad := sim.Options{Config: core.Config{ViewingPathLength: 3, RunPeriod: 13, MaxMergeLen: 2}}
 	if err := bad.Validate(); !errors.Is(err, core.ErrViewTooSmall) {
 		t.Fatalf("got %v, want ErrViewTooSmall", err)
+	}
+}
+
+// TestPaperSpellingLivelockWall pins the first half of the "paper"
+// spelling fix: the E11 wall compared the raw name against the zero value,
+// so Strategy "paper" with MaxMergeLen < V-1 slipped past it. Validate now
+// reads the name through core.ParseStrategy.
+func TestPaperSpellingLivelockWall(t *testing.T) {
+	doomed := core.Config{ViewingPathLength: 11, RunPeriod: 13, MaxMergeLen: 8}
+	ch, err := generate.Rectangle(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sim.Options{Config: doomed, Strategy: "paper"}
+	if err := opts.Validate(); !errors.Is(err, sim.ErrLivelockConfig) {
+		t.Fatalf("Validate: got %v, want ErrLivelockConfig", err)
+	}
+	if _, err := sim.NewEngine(ch, opts); !errors.Is(err, sim.ErrLivelockConfig) {
+		t.Fatalf("NewEngine: got %v, want ErrLivelockConfig", err)
+	}
+}
+
+// TestPaperSpellingRunsLikeDefault pins the second half: Validate accepted
+// Strategy "paper" but NewEngine refused it. NewEngine now stores the
+// canonical name, so "paper" and "" run, checkpoint and serialise
+// byte-identically, with Result.Strategy omitted.
+func TestPaperSpellingRunsLikeDefault(t *testing.T) {
+	ch, err := generate.Rectangle(12, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(name core.StrategyName) (result, checkpoint []byte) {
+		t.Helper()
+		opts := sim.Options{Strategy: name}
+		if err := opts.Validate(); err != nil {
+			t.Fatalf("%q: Validate: %v", name, err)
+		}
+		e, err := sim.NewEngine(ch.Clone(), opts)
+		if err != nil {
+			t.Fatalf("%q: NewEngine: %v", name, err)
+		}
+		for i := 0; i < 20; i++ {
+			if _, err := e.Step(); err != nil {
+				t.Fatalf("%q: step %d: %v", name, i, err)
+			}
+		}
+		cp, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkpoint, err = cp.Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := e.Run()
+		if err != nil || !res.Gathered {
+			t.Fatalf("%q: not gathered: %v", name, err)
+		}
+		result, err = json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return result, checkpoint
+	}
+	wantRes, wantCP := run("")
+	gotRes, gotCP := run("paper")
+	if !bytes.Equal(gotRes, wantRes) {
+		t.Errorf("Result differs:\n paper: %s\n    \"\": %s", gotRes, wantRes)
+	}
+	if !bytes.Equal(gotCP, wantCP) {
+		t.Error("checkpoint bytes differ between \"paper\" and the zero value")
+	}
+	if bytes.Contains(gotRes, []byte(`"Strategy"`)) {
+		t.Errorf("Result.Strategy must stay omitted for the paper strategy: %s", gotRes)
 	}
 }
