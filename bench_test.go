@@ -409,10 +409,15 @@ func BenchmarkSnapshot(b *testing.B) {
 }
 
 // BenchmarkServeCacheHit — the serving layer's content-addressed cache:
-// the per-request cost of answering an identical re-submission without
-// stepping the engine (internal/serve, DESIGN.md §12). Shared body with
-// the pinned trajectory via benchdefs.
-func BenchmarkServeCacheHit(b *testing.B) { benchdefs.ServeCacheHit(b) }
+// the per-request cost of answering a re-submission without stepping the
+// engine (internal/serve, DESIGN.md §12), for the byte-identical body the
+// digest index answers and for a re-spelled one that takes the decode +
+// build + content-key path. Shared bodies with the pinned trajectory via
+// benchdefs.
+func BenchmarkServeCacheHit(b *testing.B) {
+	b.Run("body=identical", benchdefs.ServeCacheHit)
+	b.Run("body=respelled", benchdefs.ServeCacheHitRespelled)
+}
 
 // BenchmarkGeneratorSpiral — workload generation cost (boundary tracing).
 func BenchmarkGeneratorSpiral(b *testing.B) {

@@ -35,7 +35,8 @@ func pinnedBenchmarks(label string) (*benchio.Report, error) {
 		{"KernelDecide/n=4096", benchdefs.KernelDecide4096},
 		{"KernelStartScan/n=4096", benchdefs.KernelStartScan4096},
 		{"ParallelHarness/quickE1", benchdefs.ParallelHarnessQuickE1},
-		{"ServeCacheHit", benchdefs.ServeCacheHit},
+		{"ServeCacheHit/body=identical", benchdefs.ServeCacheHit},
+		{"ServeCacheHit/body=respelled", benchdefs.ServeCacheHitRespelled},
 	} {
 		r := testing.Benchmark(bench.fn)
 		if r.N == 0 {

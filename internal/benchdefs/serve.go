@@ -15,24 +15,44 @@ import (
 // ServeCacheHit measures the serving layer's centerpiece: answering an
 // identical re-submission from the content-addressed result cache. The
 // job is simulated exactly once off-timer; every iteration then POSTs the
-// same spec through the full HTTP handler stack and must get the pinned
-// result back without the engine stepping at all — the cost measured is
-// decode + chain rebuild + SHA-256 key + cache lookup + encode, the price
-// a hot cache pays per request.
+// body that created it through the full HTTP handler stack and must get
+// the pinned result back without the engine stepping at all. A
+// byte-identical body is found through its SHA-256, so the cost measured
+// is body read + SHA-256 + lookup + encode, the price a hot cache pays per
+// repeated request.
 func ServeCacheHit(b *testing.B) {
+	serveCacheHit(b, []byte(serveHitBody), 1)
+}
+
+// ServeCacheHitRespelled is the same hit reached by a re-spelled body
+// (the fields reordered) that no body digest knows: the cost measured is
+// body read + SHA-256 + decode + chain rebuild + content key + lookup +
+// encode, the price of every hit whose bytes differ from the creating
+// body's.
+func ServeCacheHitRespelled(b *testing.B) {
+	serveCacheHit(b, []byte(`{"size":120,"shape":"spiral"}`), 0)
+}
+
+// serveHitBody is the body that creates the benchmarks' cache entry.
+const serveHitBody = `{"shape":"spiral","size":120}`
+
+// serveCacheHit primes the spiral job with serveHitBody, then times
+// POSTs of body, each of which must be a 200 cache hit; bodyHitsPerOp
+// (1 or 0) is checked against /stats afterwards, so each case provably
+// measures the hit path it names.
+func serveCacheHit(b *testing.B, body []byte, bodyHitsPerOp int) {
 	s := serve.New(serve.Config{Workers: 1})
 	defer func() {
 		if err := s.Shutdown(context.Background()); err != nil {
 			b.Error(err)
 		}
 	}()
-	spec := []byte(`{"shape":"spiral","size":120}`)
-	post := func() *httptest.ResponseRecorder {
+	post := func(body []byte) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
-		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(spec)))
+		s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/jobs", bytes.NewReader(body)))
 		return w
 	}
-	if w := post(); w.Code != http.StatusAccepted {
+	if w := post([]byte(serveHitBody)); w.Code != http.StatusAccepted {
 		b.Fatalf("warm-up submit: status %d: %s", w.Code, w.Body)
 	}
 	deadline := time.Now().Add(time.Minute)
@@ -57,8 +77,19 @@ func ServeCacheHit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if w := post(); w.Code != http.StatusOK {
+		if w := post(body); w.Code != http.StatusOK {
 			b.Fatalf("iteration %d: status %d (want a 200 cache hit): %s", i, w.Code, w.Body)
 		}
+	}
+	b.StopTimer()
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
+	var st serve.Stats
+	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
+		b.Fatal(err)
+	}
+	if st.CacheHits != b.N || st.BodyHits != bodyHitsPerOp*b.N {
+		b.Fatalf("%d iterations made %d cache hits, %d through the body digest; want %d body hits",
+			b.N, st.CacheHits, st.BodyHits, bodyHitsPerOp*b.N)
 	}
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"gridgather/internal/workload"
@@ -86,13 +85,12 @@ func itemJobSpec(it workload.Item) JobSpec {
 // queue, live ones coalesce, new ones enqueue). Items beyond the queue's
 // free space are fed by a background goroutine as workers drain it, so a
 // campaign may be larger than QueueDepth; a drain cancels unfed items
-// cleanly. 400 on any spec rejection (including the typed E11 livelock
-// error), 503 while draining, 200 when the whole campaign was answered
-// terminal at admission, 202 otherwise.
+// cleanly. 413 on a body over maxBodyBytes, 400 on any spec rejection
+// (including the typed E11 livelock error), 503 while draining, 200 when
+// the whole campaign was answered terminal at admission, 202 otherwise.
 func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, workload.MaxSpecBytes+1))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: reading body: %v", workload.ErrBadSpec, err))
+	body, ok := readBody(w, r, workload.ErrBadSpec)
+	if !ok {
 		return
 	}
 	sp, err := workload.ParseSpec(body)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"gridgather/internal/sim"
+	"gridgather/internal/workload"
 )
 
 // campaignSpec is a 20-item declarative campaign small enough to run in
@@ -236,5 +237,23 @@ func TestCampaignDrainSpoolsCheckpoints(t *testing.T) {
 
 	if _, code, _ := postCampaign(t, ts, spec); code != http.StatusServiceUnavailable {
 		t.Fatalf("draining server accepted a campaign (status %d)", code)
+	}
+}
+
+// TestOversizeCampaignBodyRejected pins the POST /campaign body cap: a
+// valid spec padded with a comment past maxBodyBytes answers 413 and
+// admits no campaign and no item.
+func TestOversizeCampaignBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := campaignSpec + "# " + strings.Repeat("x", maxBodyBytes)
+	_, code, raw := postCampaign(t, ts, body)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(raw, workload.ErrBadSpec.Error()) {
+		t.Fatalf("oversize campaign: status %d: %s, want 413 naming the spec error", code, raw)
+	}
+	if st := getStats(t, ts); st.Submitted != 0 || st.Entries != 0 {
+		t.Fatalf("oversize campaign admitted items: %+v", st)
+	}
+	if code := getJSON(t, ts.URL+"/campaigns/c1", nil); code != http.StatusNotFound {
+		t.Fatalf("GET /campaigns/c1 after the 413: status %d, want 404", code)
 	}
 }

@@ -13,7 +13,10 @@
 // provably cannot change bytes (wall-clock limits, invariant checking) stay
 // out of the key; the engine worker count is folded in conservatively via
 // Config.Workers even though the Workers byte-identity battery proves it
-// semantically inert.
+// semantically inert. Because that key is defined over the built chain, a
+// byte-identical re-submission is looked up first by the SHA-256 of its
+// request body, which each entry keeps for the body that created it, and
+// is answered without decoding or rebuilding anything.
 //
 // POST /campaign lifts admission from one job to a whole declarative
 // workload spec (internal/workload): the YAML body expands

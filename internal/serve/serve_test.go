@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -61,6 +63,21 @@ func submit(t *testing.T, ts *httptest.Server, spec JobSpec) (jobView, int) {
 		v.Error = string(body)
 	}
 	return v, resp.StatusCode
+}
+
+// postRaw POSTs body verbatim and returns the status and response bytes.
+func postRaw(t *testing.T, ts *httptest.Server, path string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, raw
 }
 
 // getJSON decodes a GET response into out and returns the status code.
@@ -606,5 +623,276 @@ func TestErrorBodiesAreJSON(t *testing.T) {
 		if resp.StatusCode != http.StatusNotFound {
 			t.Fatalf("GET %s: status %d, want 404", url, resp.StatusCode)
 		}
+	}
+}
+
+// roundLine is the reference encoding of one trace record: the SSE and
+// NDJSON feeds must carry exactly the bytes json.Marshal gives for it.
+type roundLine struct {
+	Round  int `json:"round"`
+	Len    int `json:"len"`
+	Merges int `json:"merges"`
+	Hops   int `json:"hops"`
+}
+
+// refLine encodes r through the reference encoder.
+func refLine(t *testing.T, r roundRecord) []byte {
+	t.Helper()
+	line, err := json.Marshal(roundLine{Round: int(r.round), Len: int(r.chainLen), Merges: int(r.merges), Hops: int(r.hops)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return line
+}
+
+// TestRoundRecordRendering pins the record renderer to the reference
+// encoder at zero, small values and each field's maximum, and the framed
+// writer to the line-by-line rendering across several chunk boundaries.
+func TestRoundRecordRendering(t *testing.T) {
+	const top = math.MaxInt32
+	for _, rec := range []roundRecord{
+		{},
+		{round: 1, chainLen: 4, hops: 2},
+		{round: 57, chainLen: 131, merges: 3, hops: 96},
+		{round: top},
+		{chainLen: top},
+		{merges: top},
+		{hops: top},
+		{top, top, top, top},
+	} {
+		if got, want := rec.appendJSON(nil), refLine(t, rec); !bytes.Equal(got, want) {
+			t.Errorf("%+v renders %s, json.Marshal gives %s", rec, got, want)
+		}
+	}
+
+	recs := make([]roundRecord, 500)
+	for i := range recs {
+		recs[i] = roundRecord{round: int32(i + 1), chainLen: int32(1000 - i), merges: int32(i % 3), hops: int32(7 * i)}
+	}
+	var want, got bytes.Buffer
+	for _, rec := range recs {
+		fmt.Fprintf(&want, "data: %s\n\n", refLine(t, rec))
+	}
+	if want.Len() < 3*renderChunk {
+		t.Fatalf("%d bytes do not cross several %d-byte chunks", want.Len(), renderChunk)
+	}
+	if _, err := writeRounds(&got, nil, recs, "data: ", "\n\n"); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatal("writeRounds differs from rendering each line on its own")
+	}
+}
+
+// TestBodyDigestHit pins the two hit paths: a byte-identical re-POST is
+// answered through the body digest (bodyHits +1) without stepping the
+// engine, with the same bytes a re-spelled body gets through the content
+// key; the re-spelled body leaves bodyHits alone and is not indexed.
+func TestBodyDigestHit(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := []byte(`{"shape":"spiral","size":80,"strategy":"lintime"}`)
+	respelled := []byte("{ \"strategy\": \"lintime\",\n  \"size\": 80, \"shape\": \"spiral\" }\n")
+
+	code, raw := postRaw(t, ts, "/jobs", body)
+	var v jobView
+	if err := json.Unmarshal(raw, &v); err != nil || code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d, %v: %s", code, err, raw)
+	}
+	waitStatus(t, ts, v.ID, StatusDone)
+	st := getStats(t, ts)
+
+	code, byBody := postRaw(t, ts, "/jobs", body)
+	if code != http.StatusOK || !bytes.Contains(byBody, []byte(`"cached":true`)) {
+		t.Fatalf("identical re-submit: status %d: %s", code, byBody)
+	}
+	st1 := getStats(t, ts)
+	if st1.BodyHits != st.BodyHits+1 || st1.CacheHits != st.CacheHits+1 || st1.Submitted != st.Submitted+1 {
+		t.Fatalf("identical re-submit: stats %+v after %+v, want one more submission, hit and body hit", st1, st)
+	}
+	if st1.EngineRounds != st.EngineRounds {
+		t.Fatalf("body hit stepped the engine: %d rounds before, %d after", st.EngineRounds, st1.EngineRounds)
+	}
+
+	for i := 0; i < 2; i++ {
+		code, byKey := postRaw(t, ts, "/jobs", respelled)
+		if code != http.StatusOK {
+			t.Fatalf("re-spelled submit %d: status %d: %s", i, code, byKey)
+		}
+		if !bytes.Equal(byKey, byBody) {
+			t.Fatalf("re-spelled submit %d answers\n%s\nthe identical body got\n%s", i, byKey, byBody)
+		}
+		st2 := getStats(t, ts)
+		if st2.BodyHits != st1.BodyHits || st2.CacheHits != st1.CacheHits+1+i || st2.EngineRounds != st1.EngineRounds {
+			t.Fatalf("re-spelled submit %d: stats %+v after %+v, want a content-key hit only", i, st2, st1)
+		}
+	}
+}
+
+// TestBodyDigestCoalescesLiveJob pins the digest path on a live entry: an
+// identical body coalesces onto the running job (202, same id), and only
+// once that job is done does it become a body hit.
+func TestBodyDigestCoalescesLiveJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	hold := make(chan struct{})
+	s.mu.Lock()
+	s.testHold = hold
+	s.mu.Unlock()
+	body := []byte(`{"shape":"spiral","size":80}`)
+
+	code, raw := postRaw(t, ts, "/jobs", body)
+	var first jobView
+	if err := json.Unmarshal(raw, &first); err != nil || code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d, %v: %s", code, err, raw)
+	}
+	waitStatus(t, ts, first.ID, StatusRunning)
+	code, raw = postRaw(t, ts, "/jobs", body)
+	var dup jobView
+	if err := json.Unmarshal(raw, &dup); err != nil || code != http.StatusAccepted || dup.ID != first.ID || dup.Cached {
+		t.Fatalf("identical body on a live job: status %d id %q cached %v (%v), want 202 coalesced onto %s",
+			code, dup.ID, dup.Cached, err, first.ID)
+	}
+	if st := getStats(t, ts); st.Coalesced != 1 || st.CacheHits != 0 || st.BodyHits != 0 {
+		t.Fatalf("stats %+v, want one coalesce and no hits", st)
+	}
+
+	close(hold)
+	waitStatus(t, ts, first.ID, StatusDone)
+	if code, raw := postRaw(t, ts, "/jobs", body); code != http.StatusOK {
+		t.Fatalf("identical body on the finished job: status %d: %s", code, raw)
+	}
+	if st := getStats(t, ts); st.BodyHits != 1 {
+		t.Fatalf("stats %+v, want one body hit", st)
+	}
+}
+
+// TestBodyDigestConcurrentSubmits races two spellings of one job from
+// many clients, against its run and then against its finished entry:
+// every submission lands on the one entry, the engine runs once, and in
+// the second wave exactly the requests that repeat the creating body's
+// bytes are body hits.
+func TestBodyDigestConcurrentSubmits(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	spellings := [][]byte{[]byte(`{"shape":"spiral","size":120}`), []byte(`{"size":120,"shape":"spiral"}`)}
+	const n = 16
+	wave := func() []jobView {
+		views := make([]jobView, n)
+		var wg sync.WaitGroup
+		for i := range views {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/jobs", "application/json", bytes.NewReader(spellings[i%2]))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				if err := json.NewDecoder(resp.Body).Decode(&views[i]); err != nil || resp.StatusCode >= 300 {
+					t.Errorf("submit %d: status %d, %v", i, resp.StatusCode, err)
+				}
+			}(i)
+		}
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for i, v := range views {
+			if v.ID != views[0].ID {
+				t.Fatalf("submit %d landed on job %q, submit 0 on %q", i, v.ID, views[0].ID)
+			}
+		}
+		return views
+	}
+
+	first := wave()
+	done := waitStatus(t, ts, first[0].ID, StatusDone)
+	st1 := getStats(t, ts)
+	if st1.Submitted != n || st1.CacheHits+st1.Coalesced != n-1 || st1.EngineRounds != int64(done.Rounds) {
+		t.Fatalf("first wave: stats %+v, want %d submissions on one %d-round run", st1, n, done.Rounds)
+	}
+
+	wave()
+	st2 := getStats(t, ts)
+	if st2.CacheHits != st1.CacheHits+n || st2.BodyHits != st1.BodyHits+n/2 || st2.EngineRounds != st1.EngineRounds {
+		t.Fatalf("second wave: stats %+v after %+v, want %d hits, %d through the body digest", st2, st1, n, n/2)
+	}
+}
+
+// TestBodyDigestDroppedOnEviction pins that the digest goes with its
+// entry: once a MaxJobWall deadline evicts the entry, the identical body
+// enqueues a fresh job instead of answering from the evicted one.
+func TestBodyDigestDroppedOnEviction(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, MaxJobWall: 20 * time.Millisecond})
+	s.mu.Lock()
+	s.testRoundHook = func() { time.Sleep(2 * time.Millisecond) } // outlast the cap
+	s.mu.Unlock()
+	body := []byte(`{"shape":"spiral","size":300}`)
+
+	code, raw := postRaw(t, ts, "/jobs", body)
+	var first jobView
+	if err := json.Unmarshal(raw, &first); err != nil || code != http.StatusAccepted {
+		t.Fatalf("first submit: status %d, %v: %s", code, err, raw)
+	}
+	waitStatus(t, ts, first.ID, StatusDeadline)
+	s.mu.Lock()
+	indexed := len(s.bodies)
+	s.mu.Unlock()
+	if indexed != 0 {
+		t.Fatalf("%d body digests outlived their evicted entry", indexed)
+	}
+
+	code, raw = postRaw(t, ts, "/jobs", body)
+	var fresh jobView
+	if err := json.Unmarshal(raw, &fresh); err != nil || code != http.StatusAccepted || fresh.ID == first.ID || fresh.Cached {
+		t.Fatalf("identical body after eviction: status %d id %q cached %v (%v), want a fresh 202 job",
+			code, fresh.ID, fresh.Cached, err)
+	}
+	if st := getStats(t, ts); st.BodyHits != 0 || st.CacheHits != 0 || st.Coalesced != 0 {
+		t.Fatalf("stats %+v, want no hit of any kind", st)
+	}
+	waitStatus(t, ts, fresh.ID, StatusDeadline)
+}
+
+// TestBodyDigestSkipsRejectedBodies pins that only admitted bodies are
+// indexed: a body that fails decoding or validation answers 400 every
+// time it is sent and leaves no digest behind.
+func TestBodyDigestSkipsRejectedBodies(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	for _, body := range []string{
+		`{"shape":"spiral",`,
+		`{"shape":"klein-bottle","size":40}`,
+		`{"shape":"rectangle","size":32,"config":{"ViewingPathLength":11,"RunPeriod":13,"MaxMergeLen":8}}`,
+	} {
+		for i := 0; i < 2; i++ {
+			if code, raw := postRaw(t, ts, "/jobs", []byte(body)); code != http.StatusBadRequest {
+				t.Fatalf("%s, attempt %d: status %d, want 400: %s", body, i, code, raw)
+			}
+		}
+	}
+	s.mu.Lock()
+	indexed := len(s.bodies)
+	s.mu.Unlock()
+	if st := getStats(t, ts); indexed != 0 || st.Submitted != 0 || st.BodyHits != 0 || st.Entries != 0 {
+		t.Fatalf("rejected bodies left state behind: %d digests, stats %+v", indexed, st)
+	}
+}
+
+// TestOversizeJobBodyRejected pins the POST /jobs body cap: a valid job
+// padded with whitespace past maxBodyBytes answers 413 and admits
+// nothing, while the same job padded to exactly the cap is accepted.
+func TestOversizeJobBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	job := []byte(`{"shape":"spiral","size":40}`)
+	pad := func(n int) []byte { return append(bytes.Clone(job), bytes.Repeat([]byte(" "), n-len(job))...) }
+
+	code, raw := postRaw(t, ts, "/jobs", pad(maxBodyBytes+1))
+	if code != http.StatusRequestEntityTooLarge || !bytes.Contains(raw, []byte(ErrBadJob.Error())) {
+		t.Fatalf("oversize body: status %d: %s, want 413 naming ErrBadJob", code, raw)
+	}
+	if st := getStats(t, ts); st.Submitted != 0 || st.Entries != 0 {
+		t.Fatalf("oversize body admitted something: %+v", st)
+	}
+	if code, raw := postRaw(t, ts, "/jobs", pad(maxBodyBytes)); code != http.StatusAccepted {
+		t.Fatalf("body at the cap: status %d: %s, want 202", code, raw)
 	}
 }

@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,6 +18,7 @@ import (
 	"gridgather/internal/core"
 	"gridgather/internal/parallel"
 	"gridgather/internal/sim"
+	"gridgather/internal/workload"
 )
 
 // Job lifecycle statuses. done and dnf are the deterministic terminal
@@ -53,24 +57,34 @@ type Config struct {
 	SpoolDir string
 }
 
+// maxBodyBytes caps the POST /jobs and POST /campaign bodies: 1 MiB, the
+// workload codec's own spec limit, so every spec the codec accepts fits,
+// and thousands of times any job body. An oversize body answers 413
+// before anything is decoded or admitted.
+const maxBodyBytes = workload.MaxSpecBytes
+
 // entry is one cache slot: the job bound to a cache key, its live trace,
 // and — once terminal — its sealed result. Identical submissions coalesce
 // onto one entry whether it is queued, running or finished; the entry is
 // the unit of both deduplication and streaming.
 type entry struct {
-	id     string
-	key    string
+	id  string
+	key string
+	// body is the SHA-256 of the POST /jobs body that created the entry,
+	// its key in Server.bodies. Campaign items have no body of their own
+	// and leave it zero; seal drops the index slot only if it points back
+	// at this entry.
+	body   [sha256.Size]byte
 	spec   JobSpec
 	status string
 	errMsg string
-	// trace is the append-only NDJSON round trace: one newline-terminated
-	// JSON line per executed round, in one contiguous buffer, and rounds
-	// counts its lines. Readers snapshot it under the server mutex and
-	// then read lock-free: appends only write past the published length,
-	// so a snapshot stays valid. seal copies the buffer to its exact
-	// length, so a finished entry retains no append slack.
-	trace  []byte
-	rounds int
+	// trace is the append-only round trace, one fixed-width record per
+	// executed round; its length is the entry's round count. Readers
+	// snapshot the slice under the server mutex and then read lock-free:
+	// appends only write past the published length, so a snapshot stays
+	// valid. seal copies it to its exact length, so a finished entry
+	// retains no append slack.
+	trace []roundRecord
 	// result is the sealed sim.Result JSON, set exactly once when the
 	// entry reaches a terminal status.
 	result []byte
@@ -98,9 +112,14 @@ func (e *entry) cacheable() bool {
 // against. EngineRounds is the instrumented engine-step counter — the sum
 // of rounds actually executed by this process — so "a cache hit steps the
 // engine zero times" is a measurable claim, not a belief.
+//
+// CacheHits counts every submission answered from a finished entry;
+// BodyHits counts the subset found through the body digest, byte-identical
+// re-submissions that skipped decoding and the chain rebuild.
 type Stats struct {
 	Submitted    int   `json:"submitted"`
 	CacheHits    int   `json:"cacheHits"`
+	BodyHits     int   `json:"bodyHits"`
 	Coalesced    int   `json:"coalesced"`
 	Rejected     int   `json:"rejected"`
 	EngineRounds int64 `json:"engineRounds"`
@@ -126,8 +145,12 @@ type Server struct {
 	// feeder can never send on a closed channel.
 	feeders sync.WaitGroup
 
-	mu        sync.Mutex
-	entries   map[string]*entry // cache key -> entry (evicted on non-cacheable end)
+	mu      sync.Mutex
+	entries map[string]*entry // cache key -> entry (evicted on non-cacheable end)
+	// bodies maps the SHA-256 of a creating POST /jobs body to its entry:
+	// at most one digest per entry, dropped when seal evicts the entry, so
+	// it never outgrows entries and never points at an evicted slot.
+	bodies    map[[sha256.Size]byte]*entry
 	jobs      map[string]*entry // job id -> entry (never evicted; ids stay resolvable)
 	campaigns map[string]*campaign
 	seq       int
@@ -160,6 +183,7 @@ func New(cfg Config) *Server {
 		queue:       make(chan *entry, cfg.QueueDepth),
 		workersDone: make(chan struct{}),
 		entries:     make(map[string]*entry),
+		bodies:      make(map[[sha256.Size]byte]*entry),
 		jobs:        make(map[string]*entry),
 		campaigns:   make(map[string]*campaign),
 	}
@@ -225,17 +249,9 @@ func (s *Server) broadcastLocked(e *entry) {
 	e.wake = make(chan struct{})
 }
 
-// roundLine is one NDJSON trace record, emitted per executed round.
-type roundLine struct {
-	Round  int `json:"round"`
-	Len    int `json:"len"`
-	Merges int `json:"merges"`
-	Hops   int `json:"hops"`
-}
-
 // runJob executes one admitted entry on a pool worker: rebuild the chain
 // (the spec was validated at admission), run the engine under the server
-// context and the wall-clock cap, publish each round as a trace line, and
+// context and the wall-clock cap, publish each round as a trace record, and
 // seal the terminal status. Non-cacheable ends evict the cache slot and
 // spool a checkpoint for resumption.
 func (s *Server) runJob(e *entry) {
@@ -257,15 +273,14 @@ func (s *Server) runJob(e *entry) {
 	}
 	opts.MaxWallTime = s.cfg.MaxJobWall
 	opts.Observer = sim.ObserverFunc(func(_ *chain.Chain, rep core.RoundReport) {
-		line, _ := json.Marshal(roundLine{
-			Round:  rep.Round,
-			Len:    rep.ChainLen,
-			Merges: rep.Merges(),
-			Hops:   rep.MergeHops + rep.RunnerHops + rep.StartHops,
-		})
+		rec := roundRecord{
+			round:    int32(rep.Round),
+			chainLen: int32(rep.ChainLen),
+			merges:   int32(rep.Merges()),
+			hops:     int32(rep.MergeHops + rep.RunnerHops + rep.StartHops),
+		}
 		s.mu.Lock()
-		e.trace = append(append(e.trace, line...), '\n')
-		e.rounds++
+		e.trace = append(e.trace, rec)
 		s.broadcastLocked(e)
 		s.mu.Unlock()
 		if hook != nil {
@@ -316,8 +331,8 @@ func (s *Server) spool(e *entry, engine *sim.Engine) {
 }
 
 // seal publishes an entry's terminal state: result JSON (when the run
-// produced one), status, error text, cache eviction for non-cacheable
-// ends, and the final wake broadcast.
+// produced one), status, error text, cache eviction (with the entry's
+// body digest) for non-cacheable ends, and the final wake broadcast.
 func (s *Server) seal(e *entry, res *sim.Result, status string, err error) {
 	var sealed []byte
 	if res != nil {
@@ -327,12 +342,15 @@ func (s *Server) seal(e *entry, res *sim.Result, status string, err error) {
 	defer s.mu.Unlock()
 	e.status = status
 	e.result = sealed
-	e.trace = bytes.Clone(e.trace)
+	e.trace = slices.Clone(e.trace)
 	if err != nil {
 		e.errMsg = err.Error()
 	}
 	if !e.cacheable() {
 		delete(s.entries, e.key)
+		if s.bodies[e.body] == e {
+			delete(s.bodies, e.body)
+		}
 	}
 	s.broadcastLocked(e)
 }
@@ -354,7 +372,7 @@ func (s *Server) viewLocked(e *entry, cached bool) jobView {
 		ID:     e.id,
 		Key:    e.key,
 		Status: e.status,
-		Rounds: e.rounds,
+		Rounds: len(e.trace),
 		Cached: cached,
 		Error:  e.errMsg,
 		Result: json.RawMessage(e.result),
@@ -375,14 +393,47 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
-// handleSubmit is admission control: decode, validate (400 on any typed
-// rejection, including ErrLivelockConfig), consult the cache (a terminal
-// cacheable entry answers inline without touching the queue; a live one
-// coalesces), refuse while draining (503), and otherwise enqueue unless
-// the queue is full (429).
+// readBody reads a POST body under the maxBodyBytes cap. An oversize
+// body answers 413 and a failed read 400, both wrapping bad, the
+// endpoint's typed rejection; it reports false once such a reply is sent.
+func readBody(w http.ResponseWriter, r *http.Request, bad error) ([]byte, bool) {
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		return body, true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("%w: body exceeds %d bytes", bad, tooBig.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: reading body: %v", bad, err))
+	}
+	return nil, false
+}
+
+// handleSubmit is admission control. A body byte-identical to the one
+// that created an entry still in the cache is answered from that entry
+// through its SHA-256 alone, with no decode and no chain rebuild. Any other body is
+// decoded and validated (400 on any typed rejection, including
+// ErrLivelockConfig) and keyed by its built chain, so every spelling of
+// one job shares one slot. Either way a terminal cacheable entry answers
+// inline without touching the queue and a live one coalesces; otherwise
+// a draining server refuses (503) and a full queue rejects (429).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	body, ok := readBody(w, r, ErrBadJob)
+	if !ok {
+		return
+	}
+	digest := sha256.Sum256(body)
+	s.mu.Lock()
+	if e, ok := s.bodies[digest]; ok {
+		s.stats.Submitted++
+		s.answerLocked(w, e, true)
+		return
+	}
+	s.mu.Unlock()
+
 	var spec JobSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	if err := json.NewDecoder(bytes.NewReader(body)).Decode(&spec); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("%w: %v", ErrBadJob, err))
 		return
 	}
@@ -400,17 +451,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	s.stats.Submitted++
 	if e, ok := s.entries[key]; ok {
-		if e.terminal() {
-			s.stats.CacheHits++
-			view := s.viewLocked(e, true)
-			s.mu.Unlock()
-			writeJSON(w, http.StatusOK, view)
-			return
-		}
-		s.stats.Coalesced++
-		view := s.viewLocked(e, false)
-		s.mu.Unlock()
-		writeJSON(w, http.StatusAccepted, view)
+		s.answerLocked(w, e, false)
 		return
 	}
 	if s.draining {
@@ -422,6 +463,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	e := &entry{
 		id:     fmt.Sprintf("j%d", s.seq),
 		key:    key,
+		body:   digest,
 		spec:   spec,
 		status: StatusQueued,
 		wake:   make(chan struct{}),
@@ -435,10 +477,31 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.entries[key] = e
+	s.bodies[digest] = e
 	s.jobs[e.id] = e
 	view := s.viewLocked(e, false)
 	s.mu.Unlock()
 	writeJSON(w, http.StatusAccepted, view)
+}
+
+// answerLocked replies to a submission that found its entry: 200 with
+// the cached view when the entry is terminal, 202 coalesced onto it while
+// it is live. byBody marks an entry found through the body digest.
+// Callers hold s.mu; answerLocked releases it before writing.
+func (s *Server) answerLocked(w http.ResponseWriter, e *entry, byBody bool) {
+	code := http.StatusAccepted
+	if e.terminal() {
+		code = http.StatusOK
+		s.stats.CacheHits++
+		if byBody {
+			s.stats.BodyHits++
+		}
+	} else {
+		s.stats.Coalesced++
+	}
+	view := s.viewLocked(e, code == http.StatusOK)
+	s.mu.Unlock()
+	writeJSON(w, code, view)
 }
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
