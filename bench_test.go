@@ -189,27 +189,9 @@ func BenchmarkLemma3Invariants(b *testing.B) {
 	}, gridgather.Options{CheckInvariants: true})
 }
 
-// BenchmarkMergeDetection — experiment E5 (Fig 2/3 mechanics): the
-// per-round cost of the merge pattern scan, allocating a fresh plan per
-// round (the convenience-API path).
-func BenchmarkMergeDetection(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	ch, err := gridgather.RandomClosedWalk(4096, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.PlanMerges(ch, core.DefaultMaxMergeLen); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMergeDetectionReuse — the same scan through a reused MergePlan,
-// the path Algorithm.Step takes every round (zero steady-state
-// allocations; the bench trajectory pins the same body as
+// BenchmarkMergeDetectionReuse — experiment E5 (Fig 2/3 mechanics): the
+// merge pattern scan plus the plan tail through a reused MergePlan (zero
+// steady-state allocations; the bench trajectory pins the same body as
 // "PlanMergesReuse/n=4096").
 func BenchmarkMergeDetectionReuse(b *testing.B) {
 	benchdefs.PlanMergesReuse4096(b)
@@ -306,7 +288,8 @@ func BenchmarkAblationView(b *testing.B) {
 }
 
 // BenchmarkBaselines — experiment E12: the paper's algorithm against the
-// no-pipelining ablation and global-vision contraction on one workload.
+// no-pipelining ablation and global-vision contraction (the lintime
+// strategy) on one workload.
 func BenchmarkBaselines(b *testing.B) {
 	mkRef := func() *gridgather.Chain {
 		ch, err := gridgather.Rectangle(64, 64)
@@ -334,15 +317,7 @@ func BenchmarkBaselines(b *testing.B) {
 		}
 	})
 	b.Run("global-contraction", func(b *testing.B) {
-		var rounds int
-		for i := 0; i < b.N; i++ {
-			res, err := baseline.NewContraction(mkRef()).Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rounds = res.Rounds
-		}
-		b.ReportMetric(float64(rounds), "rounds")
+		gatherBench(b, mkRef, sim.Options{Strategy: core.StrategyLinTime})
 	})
 	b.Run("manhattan-hopper-open", func(b *testing.B) {
 		rng := rand.New(rand.NewSource(9))

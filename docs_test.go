@@ -9,7 +9,9 @@ package gridgather_test
 //     carry its package comment in a doc.go file;
 //   - TestMarkdownLinks fails on relative links to files that do not
 //     exist in README/DESIGN/EXPERIMENTS/ROADMAP and the other committed
-//     markdown.
+//     markdown;
+//   - TestExperimentTablesCurrent fails when a table row recorded in
+//     EXPERIMENTS.md differs from what the quick preset generates.
 
 import (
 	"fmt"
@@ -20,8 +22,11 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
+
+	"gridgather/internal/experiments"
 )
 
 // parsePackage loads the non-test Go files of one directory into a go/doc
@@ -205,4 +210,65 @@ func TestMarkdownLinks(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestExperimentTablesCurrent: under every "## E…" heading, the table rows
+// of EXPERIMENTS.md equal the rows the quick preset renders today (what
+// `gatherbench -quick` prints at its default seed 1), so a recorded table
+// cannot go stale and a hand-edited row fails. Prose is ignored: only
+// lines starting with "|" count, section by section.
+func TestExperimentTablesCurrent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment suite skipped in -short mode")
+	}
+	outs, err := experiments.All(experiments.Params{Seed: 1, Quick: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded := experimentTableRows(string(data))
+	generated := experimentTableRows(experiments.Render(outs, false))
+	for _, o := range outs {
+		heading := fmt.Sprintf("## %s — %s", o.ID, o.Title)
+		want := generated[heading]
+		got, ok := recorded[heading]
+		if !ok {
+			t.Errorf("EXPERIMENTS.md has no section %q", heading)
+			continue
+		}
+		if !slices.Equal(got, want) {
+			t.Errorf("%s: EXPERIMENTS.md table rows differ from gatherbench -quick\nrecorded:\n%s\ngenerated:\n%s",
+				o.ID, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	for heading := range recorded {
+		if _, ok := generated[heading]; !ok {
+			t.Errorf("EXPERIMENTS.md section %q is not generated by the suite", heading)
+		}
+	}
+}
+
+// experimentTableRows maps each "## E" heading of a markdown document to
+// the table rows (lines starting with "|") between it and the next
+// heading.
+func experimentTableRows(md string) map[string][]string {
+	sections := map[string][]string{}
+	heading := ""
+	for _, line := range strings.Split(md, "\n") {
+		if strings.HasPrefix(line, "#") {
+			heading = ""
+			if strings.HasPrefix(line, "## E") {
+				heading = line
+				sections[heading] = nil
+			}
+			continue
+		}
+		if heading != "" && strings.HasPrefix(line, "|") {
+			sections[heading] = append(sections[heading], line)
+		}
+	}
+	return sections
 }

@@ -110,7 +110,7 @@ func ExampleOptions_strategy() {
 
 // Example_baselines mirrors examples/baselines: the paper's pipelined
 // strategy against the no-pipelining ablation and the global-vision
-// contraction baseline on one square-ring workload.
+// contraction baseline (the lintime strategy) on one square-ring workload.
 func Example_baselines() {
 	mk := func() *gridgather.Chain {
 		ch, err := gridgather.Rectangle(60, 60)
@@ -129,7 +129,7 @@ func Example_baselines() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	contraction, err := gridgather.NewContraction(mk()).Run()
+	contraction, err := gridgather.Gather(mk(), gridgather.Options{Strategy: gridgather.StrategyLinTime})
 	if err != nil {
 		log.Fatal(err)
 	}

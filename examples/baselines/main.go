@@ -1,6 +1,6 @@
 // Baseline comparison (experiment E12): the paper's local algorithm
-// against its ablations, the global-vision contraction, and the open-chain
-// strategies it generalises.
+// against its ablations, the global-vision contraction (the lintime
+// strategy), and the open-chain strategies it generalises.
 //
 //	go run ./examples/baselines
 package main
@@ -49,7 +49,7 @@ func main() {
 		fmt.Printf("%-22s %6d rounds\n", "merge-only", res.Rounds)
 	}
 
-	cres, err := gridgather.NewContraction(mk()).Run()
+	cres, err := gridgather.Gather(mk(), gridgather.Options{Strategy: gridgather.StrategyLinTime})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -299,19 +299,12 @@ func MergeOnlyOptions() Options { return baseline.MergeOnlyOptions() }
 // SequentialRunsOptions disables pipelining (ablation).
 func SequentialRunsOptions() Options { return baseline.SequentialRunsOptions() }
 
-// Contraction is the global-vision comparison strategy; ContractionResult
-// its summary.
-type (
-	Contraction       = baseline.Contraction
-	ContractionResult = baseline.ContractionResult
-	// ManhattanHopper shortens an open chain between fixed endpoints
-	// (the [KM09] reconstruction); HopperResult its summary.
-	ManhattanHopper = baseline.ManhattanHopper
-	HopperResult    = baseline.HopperResult
-)
+// ManhattanHopper shortens an open chain between fixed endpoints (the
+// [KM09] reconstruction).
+type ManhattanHopper = baseline.ManhattanHopper
 
-// NewContraction wraps a chain with the global-vision contraction strategy.
-func NewContraction(ch *Chain) *Contraction { return baseline.NewContraction(ch) }
+// HopperResult summarises a ManhattanHopper run.
+type HopperResult = baseline.HopperResult
 
 // NewManhattanHopper prepares the open-chain shortening baseline.
 func NewManhattanHopper(pts []Vec) (*ManhattanHopper, error) {

@@ -192,42 +192,6 @@ func TestOpenEndpointGather(t *testing.T) {
 	}
 }
 
-func TestContractionGathers(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 15; trial++ {
-		ch, err := generate.RandomPolyomino(10+rng.Intn(60), rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diam := ch.Diameter()
-		g := NewContraction(ch)
-		res, err := g.Run()
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if !res.Gathered {
-			t.Fatalf("trial %d: not gathered", trial)
-		}
-		// Contraction needs about half the diameter.
-		if res.Rounds > diam+2 {
-			t.Errorf("trial %d: %d rounds for diameter %d", trial, res.Rounds, diam)
-		}
-	}
-}
-
-func TestContractionPreservesChain(t *testing.T) {
-	ch, err := generate.Spiral(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := NewContraction(ch)
-	for g.Step() {
-		if err := ch.CheckEdges(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
 func TestMergeOnlyLivelocksOnSquare(t *testing.T) {
 	// Without runs, a big square ring cannot shorten: the watchdog fires.
 	// This is the experiment showing the runner machinery is load-bearing.

@@ -10,10 +10,13 @@
 //     "the gathering of an open chain would be simple in general, as the
 //     endpoints are always locally distinguishable and would simply
 //     sequentially hop onto their inner neighbors".
-//   - Contraction: a global-vision strawman quantifying what the purely
-//     local model gives up (the introduction's motivating comparison).
 //   - Ablations of the paper's own algorithm (merge-only, sequential
 //     runs), as configuration wrappers around the main simulator.
+//
+// E12's global-vision baseline, the strawman quantifying what the purely
+// local model gives up (the introduction's motivating comparison), is not
+// here: it is the lintime strategy (core.LinTime, arXiv:1501.04877) run
+// under FSYNC through the ordinary engine.
 //
 // Reconstruction note for ManhattanHopper: [KM09]'s strategy pipelines
 // "runs" from the base whose carriers iteratively eliminate detours; the

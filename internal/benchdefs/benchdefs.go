@@ -278,9 +278,9 @@ func ResolveMergesSeeded4096(b *testing.B) {
 	}
 }
 
-// PlanMergesReuse4096 measures the reusable merge-pattern scan on a large
-// tangled chain — the path Algorithm.Step takes every round (steady
-// state: zero allocations).
+// PlanMergesReuse4096 measures MergePlan.Plan on a large tangled chain:
+// the merge scan KernelMergeScan runs every round, here over the whole
+// ring, plus the sequential plan tail (steady state: zero allocations).
 func PlanMergesReuse4096(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
 	ch, err := generate.RandomClosedWalk(4096, rng)

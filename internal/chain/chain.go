@@ -413,7 +413,7 @@ func (c *Chain) CheckNoZeroEdges() error {
 	return nil
 }
 
-// MergeEvent records one splice performed by ResolveMerges.
+// MergeEvent records one splice performed by AppendResolveMergesAround.
 type MergeEvent struct {
 	// Survivor stays on the chain, Removed was spliced out. Both occupied
 	// Pos when the merge happened.
@@ -450,51 +450,20 @@ func (c *Chain) mergePair(a, b Handle) MergeEvent {
 	return MergeEvent{Survivor: surv, Removed: rem, Pos: c.pos[surv]}
 }
 
-// ResolveMerges repeatedly merges co-located chain neighbours until none
-// remain, per the paper's model ("their neighbourhoods are merged and one of
-// both is removed"). It returns the performed merges in execution order.
+// AppendResolveMergesAround merges co-located chain neighbours, per the
+// paper's model ("their neighbourhoods are merged and one of both is
+// removed"), examining only the neighbourhoods of the given seed robots —
+// the robots that moved this round — and appends the performed merges to
+// dst in execution order. Co-location requires that at least one member of
+// the pair moved, so seeding with the movers finds every mergeable pair in
+// O(#seeds + #merges) independent of chain length. Each co-located cluster
+// is reduced front to back: a splice joins the survivor to a neighbour
+// whose pairing (by position) is the next one examined, and positions never
+// change during resolution, so cascades stay within the cluster and the
+// cluster minimum always survives.
 //
 // Merging stops early when only two robots remain: a 2-cycle is a gathered
 // configuration and needs no further shortening.
-func (c *Chain) ResolveMerges() []MergeEvent {
-	return c.AppendResolveMerges(nil)
-}
-
-// AppendResolveMerges is ResolveMerges appending into dst, so per-round
-// callers can reuse one event buffer instead of allocating every round.
-//
-// The resolution is a single O(n + #merges) cyclic pass: after a splice the
-// scan continues from the survivor instead of restarting. That is exhaustive
-// because positions never change during resolution — a splice joins the
-// survivor to a neighbour whose pairing (by position) was either already
-// verified clean or is still ahead of the cursor, so no earlier pair can
-// become co-located behind the scan.
-func (c *Chain) AppendResolveMerges(dst []MergeEvent) []MergeEvent {
-	events := dst
-	if c.n <= 2 {
-		return events
-	}
-	cur := c.head
-	for remaining := c.n; remaining > 0 && c.n > 2; remaining-- {
-		nx := c.next[cur]
-		if c.pos[cur] != c.pos[nx] {
-			cur = nx
-			continue
-		}
-		ev := c.mergePair(cur, nx)
-		events = append(events, ev)
-		cur = ev.Survivor
-	}
-	return events
-}
-
-// AppendResolveMergesAround resolves merges examining only the
-// neighbourhoods of the given seed robots — the robots that moved this
-// round. Co-location requires that at least one member of the pair moved,
-// so seeding with the movers finds every mergeable pair in O(#seeds +
-// #merges) independent of chain length. Cascades (a splice joining further
-// co-located robots) stay within one position cluster and are followed
-// through; the per-cluster event order matches the full scan's.
 func (c *Chain) AppendResolveMergesAround(dst []MergeEvent, seeds []Handle) []MergeEvent {
 	events := dst
 	for _, h := range seeds {
@@ -506,7 +475,7 @@ func (c *Chain) AppendResolveMergesAround(dst []MergeEvent, seeds []Handle) []Me
 		}
 		// Walk back to the start of the co-located cluster containing h
 		// (bounded in case the whole ring has collapsed onto one point),
-		// then reduce it front to back exactly like the full scan.
+		// then reduce it front to back.
 		start := h
 		for steps := 0; c.pos[c.prev[start]] == c.pos[start] && steps < c.n; steps++ {
 			start = c.prev[start]
@@ -648,16 +617,9 @@ type EdgeRun struct {
 // at least one direction change exists; for degenerate 2-cycles it returns
 // the two single-edge runs.
 func (c *Chain) EdgeRuns() []EdgeRun {
-	return c.AppendEdgeRuns(nil)
-}
-
-// AppendEdgeRuns is EdgeRuns appending into dst. Per-round callers (merge
-// detection runs every round) pass a reused buffer sliced to length zero,
-// making the decomposition allocation-free in steady state.
-func (c *Chain) AppendEdgeRuns(dst []EdgeRun) []EdgeRun {
 	n := c.n
 	if n == 0 {
-		return dst
+		return nil
 	}
 	// Find a break: an index where the edge direction changes.
 	start := -1
@@ -670,9 +632,9 @@ func (c *Chain) AppendEdgeRuns(dst []EdgeRun) []EdgeRun {
 	if start == -1 {
 		// All edges identical — impossible for a closed chain, but keep a
 		// defined behaviour for robustness.
-		return append(dst, EdgeRun{Start: 0, Len: n, Dir: c.Edge(0)})
+		return []EdgeRun{{Start: 0, Len: n, Dir: c.Edge(0)}}
 	}
-	runs := dst
+	var runs []EdgeRun
 	i := start
 	for counted := 0; counted < n; {
 		dir := c.Edge(i)

@@ -128,6 +128,12 @@ func TestBoundsAndGathered(t *testing.T) {
 	}
 }
 
+// resolveAll seeds every robot into AppendResolveMergesAround, so the
+// resolution examines the whole ring.
+func resolveAll(c *Chain) []MergeEvent {
+	return c.AppendResolveMergesAround(nil, append([]Handle(nil), c.Handles()...))
+}
+
 func TestResolveMergesPairs(t *testing.T) {
 	// Note that on an even cycle a single zero edge is parity-impossible:
 	// merges always arise in pairs, exactly as the paper's merge operation
@@ -143,7 +149,7 @@ func TestResolveMergesPairs(t *testing.T) {
 	if err := c.CheckEdges(); err != nil {
 		t.Fatalf("setup invalid: %v", err)
 	}
-	events := c.ResolveMerges()
+	events := resolveAll(c)
 	if len(events) != 2 {
 		t.Fatalf("expected 2 merges, got %d", len(events))
 	}
@@ -179,7 +185,7 @@ func TestResolveMergesCascade(t *testing.T) {
 		t.Fatalf("setup invalid: %v", err)
 	}
 	n := c.Len()
-	events := c.ResolveMerges()
+	events := resolveAll(c)
 	if len(events) != 2 {
 		t.Fatalf("expected 2 merges, got %d", len(events))
 	}
@@ -200,7 +206,7 @@ func TestResolveMergesStopsAtTwo(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		c.SetPos(c.At(i), grid.V(0, 0))
 	}
-	c.ResolveMerges()
+	resolveAll(c)
 	if c.Len() != 2 {
 		t.Fatalf("merging should stop at 2 robots, got %d", c.Len())
 	}
@@ -374,7 +380,7 @@ func TestQuickMergePreservesValidity(t *testing.T) {
 			return false
 		}
 		before := pc.Len()
-		events := pc.ResolveMerges()
+		events := resolveAll(pc)
 		if len(events) != 2 {
 			return false
 		}

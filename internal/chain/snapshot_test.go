@@ -72,7 +72,7 @@ func TestSnapshotRoundTripAfterMerges(t *testing.T) {
 		grid.V(1, 1), grid.V(0, 1),
 	})
 	c.SetPos(6, grid.V(2, 1)) // tooth tip joins its co-located neighbours
-	events := c.ResolveMerges()
+	events := resolveAll(c)
 	if len(events) != 2 {
 		t.Fatalf("expected 2 merges, got %d", len(events))
 	}
@@ -106,8 +106,8 @@ func TestSnapshotRoundTripAfterMerges(t *testing.T) {
 	}
 	c.SetPos(3, grid.V(2, 1))
 	rt2.SetPos(3, grid.V(2, 1))
-	c.ResolveMerges()
-	rt2.ResolveMerges()
+	resolveAll(c)
+	resolveAll(rt2)
 	sameChain(t, c, rt2)
 }
 

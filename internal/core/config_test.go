@@ -124,20 +124,14 @@ func TestAnomaliesArithmetic(t *testing.T) {
 
 func TestMergePlanEmpty(t *testing.T) {
 	c := mustChain(t, squareRing(12)...)
-	plan, err := PlanMerges(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, c, 10)
 	if !plan.Empty() {
 		t.Error("square ring must be a Mergeless Chain")
 	}
 	flat := mustChain(t,
 		grid.V(0, 0), grid.V(1, 0), grid.V(2, 0),
 		grid.V(2, 1), grid.V(1, 1), grid.V(0, 1))
-	plan, err = PlanMerges(flat, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan = mustPlan(t, flat, 10)
 	if plan.Empty() {
 		t.Error("flat ring has merge patterns")
 	}
@@ -150,10 +144,7 @@ func TestSpikePriorityPlan(t *testing.T) {
 		grid.V(0, 0), grid.V(-1, 0), grid.V(-1, -1), grid.V(-1, -2),
 		grid.V(-1, -3), grid.V(0, -3), grid.V(-1, -3), grid.V(-1, -2),
 		grid.V(-1, -1), grid.V(-1, 0))
-	plan, err := PlanMerges(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, c, 10)
 	if len(plan.Patterns) != 4 {
 		t.Fatalf("expected 2 spikes + 2 column patterns, got %d", len(plan.Patterns))
 	}

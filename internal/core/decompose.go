@@ -55,9 +55,6 @@ type Segment struct {
 	Dir grid.Vec
 }
 
-// Robots returns the number of robots spanned by the segment.
-func (s Segment) Robots() int { return s.EdgeLen + 1 }
-
 // String renders the segment compactly.
 func (s Segment) String() string {
 	return fmt.Sprintf("%v[e%d+%d]", s.Kind, s.FirstEdge, s.EdgeLen)

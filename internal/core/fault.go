@@ -58,10 +58,6 @@ func (f Fault) String() string {
 	}
 }
 
-// InjectFault arms a deliberate defect for all subsequent Step calls.
-// Conformance self-tests only; see the Fault doc.
-func (a *Algorithm) InjectFault(f Fault) { a.InjectFaultAt(f, 0) }
-
 // InjectFaultAt arms a deliberate defect starting from the given round
 // (inclusive); earlier rounds run clean. The chaos harness (internal/chaos)
 // uses it to corrupt a run mid-flight and assert the conformance layer

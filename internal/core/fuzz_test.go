@@ -88,10 +88,7 @@ func TestFuzzMergePlanSafety(t *testing.T) {
 	rng := rand.New(rand.NewSource(78))
 	for trial := 0; trial < 200; trial++ {
 		c := randomWalkChain(t, 4+rng.Intn(30), rng)
-		plan, err := PlanMerges(c, DefaultMaxMergeLen)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustPlan(t, c, DefaultMaxMergeLen)
 		spikeBlacks := map[chain.Handle]bool{}
 		for _, pat := range plan.Executing {
 			if pat.Len == 1 {

@@ -105,12 +105,10 @@ func (a *Algorithm) forEachChunk(n int, fn func(worker, lo, hi int)) {
 // KernelMergeScan detects the merge patterns whose first black robot lies
 // in chunk [lo, hi): spikes (k=1 direction reversals) and straight U-turns
 // (k>=2), exactly the pattern set of DetectMerges restricted to the chunk.
-// A U-turn run starting near the chunk's end is scanned past hi — reads may
-// cross the seam, writes never do — so a merge straddling a chunk boundary
-// is owned by the chunk holding its first black, and no seam coordination
-// is needed. The scan caps at MaxMergeLen edges: a longer run is rejected
-// whatever its true extent, which bounds the seam overlap at O(MaxMergeLen)
-// without changing any outcome.
+// It is the one merge scan (appendMergeScan) over the chunk: reads may
+// cross the seam, writes never do, so a merge straddling a chunk boundary
+// is owned by the chunk holding its first black and no seam coordination
+// is needed.
 //
 // Kernel contract: reads the materialised ring order and positions; writes
 // only this worker's spikes/uturns buffers (reset on entry).
@@ -124,50 +122,7 @@ func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 		}
 	}
 	w := &a.workers[worker]
-	w.spikes = w.spikes[:0]
-	w.uturns = w.uturns[:0]
-	n := a.ch.Len()
-	if n < 3 || lo >= hi {
-		return
-	}
-	maxLen := a.cfg.MaxMergeLen
-	// Read positions straight from the ring order and the flat position
-	// store, as view.Snapshot does: one array lookup per robot, streamed.
-	order, pos := a.ch.Handles(), a.ch.PosStore()
-	at := func(i int) grid.Vec { return pos[order[chain.WrapIndex(i, n)]] }
-	p := at(lo)
-	prev := p.Sub(at(lo - 1))
-	for i := lo; i < hi; i++ {
-		q := at(i + 1)
-		cur := q.Sub(p)
-		if prev.IsAxisUnit() && cur == prev.Neg() {
-			w.spikes = append(w.spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
-		}
-		if cur != prev {
-			// Edge i starts a maximal straight run (a closed chain has at
-			// least two direction changes, so the scan always terminates).
-			// after is the edge that ends the run; it is read only when
-			// the run ends short of maxLen.
-			l, end := 1, q
-			var after grid.Vec
-			for l < maxLen {
-				next := at(i + l + 1)
-				if after = next.Sub(end); after != cur {
-					break
-				}
-				end = next
-				l++
-			}
-			// l == maxLen means k = l+1 > MaxMergeLen whatever the run's
-			// true length; below it l is the exact maximal run length.
-			if k := l + 1; l < maxLen && k+2 <= n {
-				if after.IsAxisUnit() && after == prev.Neg() && after.Perp(cur) {
-					w.uturns = append(w.uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
-				}
-			}
-		}
-		prev, p = cur, q
-	}
+	w.spikes, w.uturns = appendMergeScan(w.spikes[:0], w.uturns[:0], a.ch, a.cfg.MaxMergeLen, lo, hi)
 }
 
 // CombineMergePlan folds the per-worker KernelMergeScan buffers into the

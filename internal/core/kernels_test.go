@@ -30,10 +30,10 @@ func kernelPatterns(a *Algorithm, lo, hi int) []MergePattern {
 }
 
 // TestKernelMergeScanRanges drives KernelMergeScan over hand-picked ranges
-// of the Fig 2 flat ring: a chunk owns exactly the patterns whose first
-// black lies inside it, an empty range owns nothing, and a range ending
-// mid-merge still reports the whole pattern (reads cross the seam, writes
-// never do).
+// of the Fig 2 flat ring: a chunk owns exactly the reference patterns
+// (refDetectMerges) whose first black lies inside it, an empty range owns
+// nothing, and a range ending mid-merge still reports the whole pattern
+// (reads cross the seam, writes never do).
 func TestKernelMergeScanRanges(t *testing.T) {
 	c := flatRing2x1(t)
 	cfg := DefaultConfig()
@@ -42,7 +42,7 @@ func TestKernelMergeScanRanges(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := c.Len()
-	ref := DetectMerges(alg.Chain(), cfg.MaxMergeLen)
+	ref := refDetectMerges(alg.Chain(), cfg.MaxMergeLen)
 	if len(ref) != 4 {
 		t.Fatalf("reference patterns = %d, want 4: %+v", len(ref), ref)
 	}
@@ -104,8 +104,9 @@ func widestMid(t *testing.T, ref []MergePattern) int {
 
 // TestKernelMergeScanPartitions checks the chunk-union property on several
 // workloads: concatenating per-chunk KernelMergeScan output in chunk order
-// (spikes first, then U-turns, as CombineMergePlan does) reproduces
-// DetectMerges byte for byte for every worker count, including P > n.
+// (spikes first, then U-turns, as CombineMergePlan does) reproduces the
+// edge-run reference (refDetectMerges) byte for byte for every worker
+// count, including P > n.
 func TestKernelMergeScanPartitions(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	doubled, err := generate.DoubledPath(20, rng)
@@ -126,7 +127,7 @@ func TestKernelMergeScanPartitions(t *testing.T) {
 				t.Fatal(err)
 			}
 			n := alg.Chain().Len()
-			want := DetectMerges(alg.Chain(), cfg.MaxMergeLen)
+			want := refDetectMerges(alg.Chain(), cfg.MaxMergeLen)
 			for _, p := range []int{1, 2, 3, 4, 5, n + 3} {
 				var spikes, uturns []MergePattern
 				for w := 0; w < p; w++ {

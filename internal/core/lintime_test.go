@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -35,36 +36,72 @@ func ringChain(t *testing.T, w, h int) *chain.Chain {
 	return ch
 }
 
-// TestLinTimeGathersWithinDiameterBound pins the strategy's defining
-// property: under FSYNC every span >= 2 shrinks by two per round, so a
-// chain of maximum span s gathers in exactly ceil((s-1)/2) rounds.
-func TestLinTimeGathersWithinDiameterBound(t *testing.T) {
-	for _, side := range []int{3, 4, 9, 16, 33} {
-		ch := ringChain(t, side, side)
-		lt, err := NewLinTime(ch, DefaultConfig())
+// linTimeChain is one named input of the lintime law tests.
+type linTimeChain struct {
+	name string
+	ch   *chain.Chain
+}
+
+// linTimeInputs returns the inputs the FSYNC law is held to beyond the
+// boundary rings: seeded random polyominoes of 10–69 cells and spirals of
+// 1–6 windings.
+func linTimeInputs(t *testing.T) []linTimeChain {
+	t.Helper()
+	var out []linTimeChain
+	rng := rand.New(rand.NewSource(33))
+	for trial := 0; trial < 15; trial++ {
+		ch, err := generate.RandomPolyomino(10+rng.Intn(60), rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		span := side - 1
+		out = append(out, linTimeChain{fmt.Sprintf("polyomino#%d", trial), ch})
+	}
+	for w := 1; w <= 6; w++ {
+		ch, err := generate.Spiral(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, linTimeChain{fmt.Sprintf("spiral(%d)", w), ch})
+	}
+	return out
+}
+
+// TestLinTimeGathersWithinDiameterBound pins the strategy's defining
+// property: under FSYNC every span >= 2 shrinks by two per round, so a
+// chain of maximum span s (its diameter) gathers in exactly
+// ceil((s-1)/2) rounds — on boundary rings, where every robot starts on
+// the bounding box, and on the polyominoes and spirals of linTimeInputs.
+func TestLinTimeGathersWithinDiameterBound(t *testing.T) {
+	inputs := linTimeInputs(t)
+	for _, side := range []int{3, 4, 9, 16, 33} {
+		inputs = append(inputs, linTimeChain{fmt.Sprintf("ring%d", side), ringChain(t, side, side)})
+	}
+	for _, in := range inputs {
+		span := in.ch.Diameter()
 		want := span / 2 // ceil((span-1)/2): each round shrinks the span by two
-		for r := 0; r < 10*side; r++ {
+		lt, err := NewLinTime(in.ch, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < 10*(span+1); r++ {
 			if lt.Gathered() {
 				if r != want {
-					t.Fatalf("side %d: gathered after %d rounds, want exactly %d", side, r, want)
+					t.Fatalf("%s: gathered after %d rounds, want exactly %d (span %d)", in.name, r, want, span)
 				}
 				break
 			}
 			if _, err := lt.Step(); err != nil {
-				t.Fatalf("side %d round %d: %v", side, r, err)
+				t.Fatalf("%s round %d: %v", in.name, r, err)
 			}
 		}
 		if !lt.Gathered() {
-			t.Fatalf("side %d: not gathered after %d rounds", side, 10*side)
+			t.Fatalf("%s: not gathered after %d rounds", in.name, 10*(span+1))
 		}
 	}
 }
 
-// TestLinTimeEdgesStayLegalEveryRound steps random walks under FSYNC and a
+// TestLinTimeEdgesStayLegalEveryRound steps random walks, and the
+// polyominoes and spirals of linTimeInputs, under FSYNC and a
 // deterministic half-activation pattern and asserts the chain edge set
 // after every single round — the direct unit-level version of what the
 // conformance battery checks end to end. Liveness is only asserted under
@@ -79,41 +116,55 @@ func TestLinTimeEdgesStayLegalEveryRound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			lt, err := NewLinTime(ch, DefaultConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			var active []bool
-			for r := 0; r < 4000 && !lt.Gathered(); r++ {
-				if half {
-					n := lt.Chain().Len()
-					active = active[:0]
-					for i := 0; i < n; i++ {
-						active = append(active, (i+r)%2 == 0)
-					}
-				} else {
-					active = nil
-				}
-				prev := lt.Chain().Bounds()
-				if _, err := lt.StepActivated(active); err != nil {
-					t.Fatalf("trial %d half=%v round %d: %v", trial, half, r, err)
-				}
-				if err := lt.Chain().CheckEdges(); err != nil {
-					t.Fatalf("trial %d half=%v round %d: %v", trial, half, r, err)
-				}
-				if err := lt.Chain().CheckNoZeroEdges(); err != nil {
-					t.Fatalf("trial %d half=%v round %d: %v", trial, half, r, err)
-				}
-				cur := lt.Chain().Bounds()
-				if cur.Min.X < prev.Min.X || cur.Min.Y < prev.Min.Y ||
-					cur.Max.X > prev.Max.X || cur.Max.Y > prev.Max.Y {
-					t.Fatalf("trial %d half=%v round %d: bbox grew %v -> %v", trial, half, r, prev, cur)
-				}
-			}
-			if !half && !lt.Gathered() {
-				t.Fatalf("trial %d: not gathered after 4000 FSYNC rounds", trial)
-			}
+			checkLinTimeEdges(t, fmt.Sprintf("walk#%d", trial), ch, half)
 		}
+	}
+	for _, in := range linTimeInputs(t) {
+		for _, half := range []bool{false, true} {
+			checkLinTimeEdges(t, in.name, in.ch.Clone(), half)
+		}
+	}
+}
+
+// checkLinTimeEdges runs lintime on ch for up to 4000 rounds, under FSYNC
+// or with every other robot active, checking chain edges, the absence of
+// zero edges and bounding-box monotonicity after every round, and
+// gathering under FSYNC.
+func checkLinTimeEdges(t *testing.T, name string, ch *chain.Chain, half bool) {
+	t.Helper()
+	lt, err := NewLinTime(ch, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var active []bool
+	for r := 0; r < 4000 && !lt.Gathered(); r++ {
+		if half {
+			n := lt.Chain().Len()
+			active = active[:0]
+			for i := 0; i < n; i++ {
+				active = append(active, (i+r)%2 == 0)
+			}
+		} else {
+			active = nil
+		}
+		prev := lt.Chain().Bounds()
+		if _, err := lt.StepActivated(active); err != nil {
+			t.Fatalf("%s half=%v round %d: %v", name, half, r, err)
+		}
+		if err := lt.Chain().CheckEdges(); err != nil {
+			t.Fatalf("%s half=%v round %d: %v", name, half, r, err)
+		}
+		if err := lt.Chain().CheckNoZeroEdges(); err != nil {
+			t.Fatalf("%s half=%v round %d: %v", name, half, r, err)
+		}
+		cur := lt.Chain().Bounds()
+		if cur.Min.X < prev.Min.X || cur.Min.Y < prev.Min.Y ||
+			cur.Max.X > prev.Max.X || cur.Max.Y > prev.Max.Y {
+			t.Fatalf("%s half=%v round %d: bbox grew %v -> %v", name, half, r, prev, cur)
+		}
+	}
+	if !half && !lt.Gathered() {
+		t.Fatalf("%s: not gathered after 4000 FSYNC rounds", name)
 	}
 }
 

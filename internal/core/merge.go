@@ -37,53 +37,74 @@ func (p MergePattern) WhiteBefore() int { return p.FirstBlack - 1 }
 func (p MergePattern) WhiteAfter() int { return p.FirstBlack + p.Len }
 
 // DetectMerges finds every merge pattern currently present on the chain
-// with black length at most maxLen. maxLen must not exceed the viewing
-// path length minus one: a pattern spans k+2 robots and every participant
-// must see all of them (paper §3.1), which is exactly k+1 <= V.
+// with black length at most maxLen: all spikes in ascending chain order,
+// then all U-turns in ascending chain order. maxLen must not exceed the
+// viewing path length minus one: a pattern spans k+2 robots and every
+// participant must see all of them (paper §3.1), which is exactly
+// k+1 <= V.
 //
 // The scan is global for efficiency, but it is information-equivalent to
 // each robot's local detection: every pattern it reports lies within the
 // view of each of its participants.
 func DetectMerges(ch *chain.Chain, maxLen int) []MergePattern {
-	return appendMergePatterns(nil, ch, maxLen, ch.EdgeRuns())
+	spikes, uturns := appendMergeScan(nil, nil, ch, maxLen, 0, ch.Len())
+	return append(spikes, uturns...)
 }
 
-// appendMergePatterns is DetectMerges appending into dst, with the chain's
-// edge-run decomposition supplied by the caller (so the per-round path can
-// reuse both buffers).
-func appendMergePatterns(dst []MergePattern, ch *chain.Chain, maxLen int, edgeRuns []chain.EdgeRun) []MergePattern {
+// appendMergeScan is the merge-pattern scan: it appends the patterns whose
+// first black robot lies at chain index [lo, hi) to spikes (k=1 direction
+// reversals) and uturns (straight k>=2 runs flanked by an anti-parallel
+// perpendicular edge pair), each in ascending chain order. The engine runs
+// it per chunk (KernelMergeScan); DetectMerges and MergePlan.Plan run it
+// over [0, n).
+//
+// A U-turn starting near hi is scanned past it, so a pattern straddling a
+// chunk boundary belongs to the chunk holding its first black. The probe
+// caps at maxLen edges: a longer run is rejected whatever its true extent,
+// which bounds that overlap at O(maxLen) without changing any outcome.
+func appendMergeScan(spikes, uturns []MergePattern, ch *chain.Chain, maxLen, lo, hi int) ([]MergePattern, []MergePattern) {
 	n := ch.Len()
-	if n < 3 {
-		return dst
+	if n < 3 || lo >= hi {
+		return spikes, uturns
 	}
-	patterns := dst
-
-	// k = 1 spikes: a direction reversal at a single robot. Its two
-	// neighbours necessarily coincide (both at black + out-edge).
-	for i := 0; i < n; i++ {
-		in := ch.Edge(i - 1) // white1 -> black
-		out := ch.Edge(i)    // black -> white2
-		if !in.IsAxisUnit() || out != in.Neg() {
-			continue
+	// Read positions straight from the ring order and the flat position
+	// store, as view.Snapshot does: one array lookup per robot, streamed.
+	order, pos := ch.Handles(), ch.PosStore()
+	at := func(i int) grid.Vec { return pos[order[chain.WrapIndex(i, n)]] }
+	p := at(lo)
+	prev := p.Sub(at(lo - 1))
+	for i := lo; i < hi; i++ {
+		q := at(i + 1)
+		cur := q.Sub(p)
+		if prev.IsAxisUnit() && cur == prev.Neg() {
+			spikes = append(spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
 		}
-		patterns = append(patterns, MergePattern{FirstBlack: i, Len: 1, Hop: out})
+		if cur != prev {
+			// Edge i starts a maximal straight run (a closed chain has at
+			// least two direction changes, so the scan always terminates).
+			// after is the edge that ends the run; it is read only when
+			// the run ends short of maxLen.
+			l, end := 1, q
+			var after grid.Vec
+			for l < maxLen {
+				next := at(i + l + 1)
+				if after = next.Sub(end); after != cur {
+					break
+				}
+				end = next
+				l++
+			}
+			// l == maxLen means k = l+1 > maxLen whatever the run's true
+			// length; below it l is the exact maximal run length.
+			if k := l + 1; l < maxLen && k+2 <= n {
+				if after.IsAxisUnit() && after == prev.Neg() && after.Perp(cur) {
+					uturns = append(uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
+				}
+			}
+		}
+		prev, p = cur, q
 	}
-
-	// k >= 2: maximal straight edge runs flanked by an anti-parallel
-	// perpendicular edge pair (the U shape).
-	for _, run := range edgeRuns {
-		k := run.Len + 1 // robots in the straight segment
-		if k < 2 || k > maxLen || k+2 > n {
-			continue
-		}
-		before := ch.Edge(run.Start - 1)      // white1 -> first black
-		after := ch.Edge(run.Start + run.Len) // last black -> white2
-		if !after.IsAxisUnit() || after != before.Neg() || !after.Perp(run.Dir) {
-			continue
-		}
-		patterns = append(patterns, MergePattern{FirstBlack: run.Start, Len: k, Hop: after})
-	}
-	return patterns
+	return spikes, uturns
 }
 
 // MergePlan aggregates the simultaneous execution of all detected merge
@@ -116,10 +137,10 @@ type MergePlan struct {
 	participants chain.Scratch[struct{}]
 
 	// Reused scratch (valid only during Plan): spike whites of the current
-	// round and the chain's edge-run decomposition. Keeping them here lets
-	// a per-round caller replan every round without allocating.
+	// round and the scan's U-turn list. Keeping them here lets a per-round
+	// caller replan every round without allocating.
 	spikeWhites chain.Scratch[struct{}]
-	edgeRuns    []chain.EdgeRun
+	uturns      []MergePattern
 }
 
 // NewMergePlan returns an empty plan whose Plan method can be called once
@@ -131,9 +152,6 @@ func NewMergePlan() *MergePlan {
 // Hop returns the combined merge hop of the robot with handle h, if it is
 // a black of an executing pattern this round.
 func (p *MergePlan) Hop(h chain.Handle) (grid.Vec, bool) { return p.hops.Get(h) }
-
-// HopCount returns the number of robots hopping for merges this round.
-func (p *MergePlan) HopCount() int { return p.hops.Len() }
 
 // HopHandles returns the hopping robots in pattern order (deterministic).
 // The slice is shared scratch, valid until the next Plan call.
@@ -147,43 +165,25 @@ func (p *MergePlan) Participant(h chain.Handle) bool { return p.participants.Has
 // chain is a "Mergeless Chain" for the configured detection length).
 func (p *MergePlan) Empty() bool { return len(p.Patterns) == 0 }
 
-// PlanMerges detects all patterns, applies the spike-priority rule, and
-// combines the executing patterns' hops. It returns an error if two
-// executing patterns assign conflicting hops along the same axis to one
-// robot, which the pattern geometry rules out; the check guards the
-// implementation, not the model.
-//
-// Each call allocates a fresh plan; per-round callers should allocate one
-// with NewMergePlan and call its Plan method instead.
-func PlanMerges(ch *chain.Chain, maxLen int) (*MergePlan, error) {
-	plan := NewMergePlan()
-	if err := plan.Plan(ch, maxLen); err != nil {
-		return nil, err
-	}
-	return plan, nil
-}
-
-// Plan recomputes the plan for the chain's current configuration, reusing
-// the plan's maps and slices (cleared first). The plan's contents are valid
-// until the next Plan call.
+// Plan detects all patterns, applies the spike-priority rule, and combines
+// the executing patterns' hops, reusing the plan's tables and slices
+// (cleared first); the contents are valid until the next Plan call. It
+// returns an error if two executing patterns assign conflicting hops along
+// the same axis to one robot, which the pattern geometry rules out; the
+// check guards the implementation, not the model.
 func (plan *MergePlan) Plan(ch *chain.Chain, maxLen int) error {
-	return plan.plan(ch, maxLen, true)
-}
-
-// plan is Plan with the spike-priority rule switchable: the algorithm's
-// fault-injection self-tests (FaultSkipSpikePriority) disable it to prove
-// the conformance oracle notices.
-func (plan *MergePlan) plan(ch *chain.Chain, maxLen int, spikePriority bool) error {
-	plan.edgeRuns = ch.AppendEdgeRuns(plan.edgeRuns[:0])
-	plan.Patterns = appendMergePatterns(plan.Patterns[:0], ch, maxLen, plan.edgeRuns)
-	return plan.finish(ch, spikePriority)
+	plan.Patterns, plan.uturns = appendMergeScan(plan.Patterns[:0], plan.uturns[:0], ch, maxLen, 0, ch.Len())
+	plan.Patterns = append(plan.Patterns, plan.uturns...)
+	return plan.finish(ch, true)
 }
 
 // finish turns the detected plan.Patterns into the executable plan:
 // spike-priority suppression, the participant set, and the combined
-// per-robot hops. It is the sequential tail shared by the one-shot
-// detection above and the engine's chunked detection kernels
-// (Algorithm.CombineMergePlan), which fill plan.Patterns themselves.
+// per-robot hops. It is the sequential tail shared by Plan and the
+// engine's chunked detection kernels (Algorithm.CombineMergePlan), which
+// fill plan.Patterns themselves. The algorithm's fault-injection
+// self-tests (FaultSkipSpikePriority) switch spikePriority off to prove
+// the conformance oracle notices.
 func (plan *MergePlan) finish(ch *chain.Chain, spikePriority bool) error {
 	plan.Executing = plan.Executing[:0]
 	plan.Suppressed = 0

@@ -17,6 +17,17 @@ func mustChain(t *testing.T, ps ...grid.Vec) *chain.Chain {
 	return c
 }
 
+// mustPlan runs a fresh MergePlan over the chain, failing the test on a
+// plan error.
+func mustPlan(t *testing.T, c *chain.Chain, maxLen int) *MergePlan {
+	t.Helper()
+	plan := NewMergePlan()
+	if err := plan.Plan(c, maxLen); err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
 // TestFig2SpikeK1 reproduces the k=1 merge of Fig 2: a direction reversal
 // whose two whites coincide. The doubled segment (0,0)-(1,0)-(2,0)-(1,0)
 // has spikes at both turning points.
@@ -31,10 +42,7 @@ func TestFig2SpikeK1(t *testing.T) {
 			t.Errorf("expected k=1, got %d", p.Len)
 		}
 	}
-	plan, err := PlanMerges(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, c, 10)
 	// The spike at (2,0) hops west onto its whites; the spike at (0,0)
 	// hops east.
 	if h, _ := plan.Hop(c.At(2)); h != grid.West {
@@ -74,10 +82,7 @@ func TestFig2UMergeK3(t *testing.T) {
 	if byLen[3] != 2 || byLen[2] != 2 {
 		t.Errorf("pattern lengths wrong: %v", byLen)
 	}
-	plan, err := PlanMerges(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, c, 10)
 	// Corner robots are black in two perpendicular patterns and hop
 	// diagonally (Fig 3.b rule).
 	if h, _ := plan.Hop(c.At(0)); h != grid.V(1, 1) {
@@ -132,10 +137,7 @@ func TestFig3bOverlapByThree(t *testing.T) {
 		grid.V(2, 1), // a
 		grid.V(1, 1), // b
 		grid.V(1, 0), grid.V(0, 0), grid.V(0, 1))
-	plan, err := PlanMerges(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, c, 10)
 	r := c.At(2) // (2,2): end of the horizontal blacks and of the vertical blacks
 	a := c.At(3) // (2,1): white of the horizontal pattern, black of the vertical
 	b := c.At(4) // (1,1): white of the vertical pattern
@@ -168,10 +170,7 @@ func TestFig3aOverlapByTwo(t *testing.T) {
 		grid.V(2, 0), grid.V(2, 1), grid.V(3, 1), grid.V(3, 0),
 		grid.V(4, 0), grid.V(4, -1), grid.V(3, -1), grid.V(2, -1),
 		grid.V(1, -1), grid.V(0, -1), grid.V(-1, -1), grid.V(-1, 0))
-	plan, err := PlanMerges(c, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := mustPlan(t, c, 10)
 	up, down := c.At(1), c.At(2)   // (0,1),(1,1): first battlement, hop south
 	mid1, mid2 := c.At(3), c.At(4) // (1,0),(2,0): valley, hop north
 	upHop, _ := plan.Hop(up)
@@ -219,10 +218,7 @@ func TestMergeEquivariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refPlan, err := PlanMerges(ref, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
+	refPlan := mustPlan(t, ref, 10)
 	for _, tr := range grid.D4 {
 		mapped := make([]grid.Vec, len(base))
 		for i, p := range base {
@@ -232,10 +228,7 @@ func TestMergeEquivariance(t *testing.T) {
 		if err != nil {
 			t.Fatalf("transform %+v produced invalid chain: %v", tr, err)
 		}
-		plan, err := PlanMerges(mc, 10)
-		if err != nil {
-			t.Fatal(err)
-		}
+		plan := mustPlan(t, mc, 10)
 		if len(plan.Patterns) != len(refPlan.Patterns) {
 			t.Errorf("transform %+v: %d patterns, want %d", tr, len(plan.Patterns), len(refPlan.Patterns))
 		}

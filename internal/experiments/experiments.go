@@ -44,9 +44,9 @@ type Params struct {
 	// that gathers through the round engine (E1, E2/E3, E4, E8, and the
 	// E10–E13 ablations). It does not apply where a scheduler has no
 	// meaning: E9's one-round structural probe of the FSYNC start
-	// patterns, and E12's non-round baselines (global-vision contraction,
-	// open-chain hoppers). The scheduler axis itself is swept by ESched
-	// regardless of this field.
+	// patterns, E12's global-vision contraction (the lintime strategy,
+	// always run under FSYNC) and its open-chain hoppers. The scheduler
+	// axis itself is swept by ESched regardless of this field.
 	Sched sched.Config
 	// Strategy is the gathering strategy the suite's round simulations
 	// drive (core.NewStrategy; zero value = the paper's algorithm, the
@@ -87,11 +87,6 @@ func (p Params) withSched(opts sim.Options) sim.Options {
 	opts.Strategy = p.Strategy
 	opts.Workers = p.EngineWorkers
 	return opts
-}
-
-// DefaultParams returns the sizes used for EXPERIMENTS.md.
-func DefaultParams() Params {
-	return Params{Seed: 1, Trials: 5, Sizes: []int{128, 256, 512, 1024, 2048}}
 }
 
 func (p Params) normalized() Params {
@@ -642,7 +637,8 @@ func E11AblationMergeLen(p Params) (Outcome, error) {
 }
 
 // E12Baselines compares the paper's algorithm against the ablations, the
-// global-vision contraction, and the open-chain strategies it generalises.
+// global-vision contraction (the lintime strategy under FSYNC), and the
+// open-chain strategies it generalises.
 func E12Baselines(p Params) (Outcome, error) {
 	p = p.normalized()
 	o := Outcome{ID: "E12", Title: "Baselines — closed chain vs ablations, global vision, open chains"}
@@ -675,7 +671,10 @@ func E12Baselines(p Params) (Outcome, error) {
 				}
 				row = append(row, fmt.Sprintf("%d", res.Rounds))
 			}
-			gres, err := baseline.NewContraction(ref.Clone()).Run()
+			// Global vision is the lintime contraction, always under
+			// FSYNC: the baseline's meaning does not follow the suite's
+			// scheduler.
+			gres, err := sim.Gather(ref.Clone(), sim.Options{Strategy: core.StrategyLinTime})
 			if err != nil {
 				return nil, fmt.Errorf("E12 contraction %s: %w", shape, err)
 			}

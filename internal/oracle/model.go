@@ -225,9 +225,9 @@ func (m *Model) detectMerges() []mpattern {
 		}
 	}
 
-	// Straight patterns k >= 2: maximal equal-edge runs, enumerated in the
-	// same ring order as the engine's edge-run decomposition (starting from
-	// the first direction change).
+	// Straight patterns k >= 2: maximal equal-edge runs, enumerated from
+	// the first direction change on. No run starts before it, so this is
+	// the ascending ring order of the engine's merge scan.
 	start := -1
 	for i := 0; i < n; i++ {
 		if edge(i) != edge((i-1+n)%n) {

@@ -320,14 +320,11 @@ func NewEngine(ch *chain.Chain, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// StallWindow returns the no-progress budget in force for this engine: the
-// number of consecutive progress-free rounds after which Step returns
-// ErrStalled. math.MaxInt under FSYNC, where the detector is off (a
-// progress-free FSYNC round is already a permanent fixpoint and the FSYNC
-// liveness machinery owns that case).
-func (e *Engine) StallWindow() int { return e.stallWindow() }
-
-// stallWindow sizes the no-progress budget: two full activation cycles. A
+// stallWindow sizes the no-progress budget: the number of consecutive
+// progress-free rounds after which Step returns ErrStalled. Under FSYNC the
+// detector is off (math.MaxInt): a progress-free FSYNC round is already a
+// permanent fixpoint and the FSYNC liveness machinery owns that case.
+// Otherwise the budget is two full activation cycles. A
 // cycle is max(n, RunPeriod+1) rounds — long enough that every robot has
 // been offered an activation (RoundRobin's window slides once per round,
 // period n) and every run-start period boundary has passed — scaled by the
