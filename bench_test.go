@@ -100,6 +100,7 @@ func BenchmarkKernelMergeScan(b *testing.B) {
 
 func BenchmarkKernelDecide(b *testing.B) {
 	b.Run("n=4096", benchdefs.KernelDecide4096)
+	b.Run("n=4096/round=2000", benchdefs.KernelDecideMidGather4096)
 }
 
 func BenchmarkKernelStartScan(b *testing.B) {
@@ -221,10 +222,11 @@ func BenchmarkStartDetection(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var s view.Snapshot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := view.At(ch, i%ch.Len(), core.DefaultViewingPathLength, nil)
-		core.DetectStart(s)
+		view.At(&s, ch, i%ch.Len(), core.DefaultViewingPathLength, nil)
+		core.DetectStart(&s)
 	}
 }
 
@@ -376,9 +378,10 @@ func BenchmarkSnapshot(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	var s view.Snapshot
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s := view.At(ch, i%ch.Len(), core.DefaultViewingPathLength, nil)
+		view.At(&s, ch, i%ch.Len(), core.DefaultViewingPathLength, nil)
 		_ = s.AlignedAhead(+1)
 	}
 }

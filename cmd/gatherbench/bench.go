@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"gridgather/internal/benchdefs"
@@ -16,7 +17,13 @@ import (
 // local benchmark runs measure identical workloads; the subset is
 // deliberately small so the CI bench-smoke step stays fast.
 func pinnedBenchmarks(label string) (*benchio.Report, error) {
-	rep := &benchio.Report{Schema: benchio.Schema, Label: label}
+	rep := &benchio.Report{
+		Schema:     benchio.Schema,
+		Label:      label,
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+		NumCPU:     runtime.NumCPU(),
+		GoVersion:  runtime.Version(),
+	}
 	for _, bench := range []struct {
 		name string
 		fn   func(b *testing.B)
@@ -33,6 +40,7 @@ func pinnedBenchmarks(label string) (*benchio.Report, error) {
 		{"ResolveMergesSeeded/n=4096", benchdefs.ResolveMergesSeeded4096},
 		{"KernelMergeScan/n=4096", benchdefs.KernelMergeScan4096},
 		{"KernelDecide/n=4096", benchdefs.KernelDecide4096},
+		{"KernelDecide/n=4096/round=2000", benchdefs.KernelDecideMidGather4096},
 		{"KernelStartScan/n=4096", benchdefs.KernelStartScan4096},
 		{"ParallelHarness/quickE1", benchdefs.ParallelHarnessQuickE1},
 		{"ServeCacheHit/body=identical", benchdefs.ServeCacheHit},

@@ -160,7 +160,8 @@ func KernelMergeScan4096(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := alg.Chain().Len()
-	alg.Chain().Handles() // materialise the ring order, as the driver would
+	alg.Chain().Handles() // materialise the ring caches, as the driver would
+	alg.Chain().RingPos()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -172,13 +173,26 @@ func KernelMergeScan4096(b *testing.B) {
 // registry of a 4096-robot square that has stepped past its first
 // run-start round: each op recomputes every run's Table 1 decision against
 // the frozen look-phase state.
-func KernelDecide4096(b *testing.B) {
-	alg := steppedSquare4096(b)
+func KernelDecide4096(b *testing.B) { kernelDecide(b, 15) }
+
+// KernelDecideMidGather4096 is KernelDecide4096 at round 2000 of the same
+// gather. Round 15 holds only the first run generation (16 live runs); by
+// round 2000 the pipelines have filled (232 live runs, against a mean of
+// about 157 over the whole gather), so this is the load a decide phase
+// carries through most of a gather.
+func KernelDecideMidGather4096(b *testing.B) { kernelDecide(b, 2000) }
+
+// kernelDecide times KernelDecide over every live run of the 4096 square
+// stepped for the given number of rounds, and reports the run count.
+func kernelDecide(b *testing.B, rounds int) {
+	alg := steppedSquare4096(b, rounds)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		alg.KernelDecide(0, 0, len(alg.Runs()))
 	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(alg.Runs())), "runs")
 }
 
 // KernelStartScan4096 measures the Fig 5 run-start scan kernel over all
@@ -194,6 +208,7 @@ func KernelStartScan4096(b *testing.B) {
 	}
 	n := alg.Chain().Len()
 	alg.Chain().Handles()
+	alg.Chain().RingPos()
 	alg.KernelMergeScan(0, 0, n)
 	if err := alg.CombineMergePlan(); err != nil {
 		b.Fatal(err)
@@ -206,10 +221,11 @@ func KernelStartScan4096(b *testing.B) {
 }
 
 // steppedSquare4096 builds the KernelDecide workload: the 4096 square
-// stepped through its first run-start generation, with the look-phase
-// state (ring order, merge plan) refreshed so the kernel reads a
-// consistent round.
-func steppedSquare4096(b *testing.B) *core.Algorithm {
+// stepped for the given number of rounds, with the look-phase state (ring
+// caches, merge plan) refreshed so the kernel reads a consistent round.
+// The rounds must end past a run-start round with one quiet round after
+// it, so no run still carries its just-started flag into the kernel calls.
+func steppedSquare4096(b *testing.B, rounds int) *core.Algorithm {
 	b.Helper()
 	ch, err := generate.Rectangle(1024, 1024)
 	if err != nil {
@@ -219,9 +235,7 @@ func steppedSquare4096(b *testing.B) *core.Algorithm {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Step past the second L=13 start round, with one quiet round after it
-	// so no run still carries its just-started flag into the kernel calls.
-	for r := 0; r < 15; r++ {
+	for r := 0; r < rounds; r++ {
 		if _, err := alg.Step(); err != nil {
 			b.Fatal(err)
 		}
@@ -231,6 +245,7 @@ func steppedSquare4096(b *testing.B) *core.Algorithm {
 	}
 	n := alg.Chain().Len()
 	alg.Chain().Handles()
+	alg.Chain().RingPos()
 	alg.KernelMergeScan(0, 0, n)
 	if err := alg.CombineMergePlan(); err != nil {
 		b.Fatal(err)

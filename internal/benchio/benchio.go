@@ -26,9 +26,16 @@ type Entry struct {
 type Report struct {
 	Schema int `json:"schema"`
 	// Label names the snapshot (e.g. "PR2").
-	Label   string   `json:"label"`
-	Entries []Entry  `json:"entries"`
-	Notes   []string `json:"notes,omitempty"`
+	Label string `json:"label"`
+	// GOMAXPROCS, NumCPU and GoVersion name the host the entries were
+	// measured on, so timings from different hosts are not read as a
+	// trend. Absent in snapshots older than the fields; Compare ignores
+	// them.
+	GOMAXPROCS int      `json:"gomaxprocs,omitempty"`
+	NumCPU     int      `json:"num_cpu,omitempty"`
+	GoVersion  string   `json:"go_version,omitempty"`
+	Entries    []Entry  `json:"entries"`
+	Notes      []string `json:"notes,omitempty"`
 }
 
 // Sort orders the entries by name, the canonical committed form.

@@ -10,8 +10,11 @@ import (
 
 func fixture() *Report {
 	return &Report{
-		Schema: Schema,
-		Label:  "PRX",
+		Schema:     Schema,
+		Label:      "PRX",
+		GOMAXPROCS: 2,
+		NumCPU:     2,
+		GoVersion:  "go1.24.0",
 		Entries: []Entry{
 			{Name: "StepSquare/n=512", Iterations: 100, NsPerOp: 60000, AllocsPerOp: 2},
 			{Name: "GatherSquare/n=512", Iterations: 20, NsPerOp: 5.2e7, BytesPerOp: 870176,
@@ -55,6 +58,9 @@ func TestWriteReadRoundTrip(t *testing.T) {
 	if got.Label != want.Label || len(got.Entries) != len(want.Entries) {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
+	if got.GOMAXPROCS != 2 || got.NumCPU != 2 || got.GoVersion != "go1.24.0" {
+		t.Errorf("host stamp did not survive the round trip: %+v", got)
+	}
 	e := got.Entry("GatherSquare/n=512")
 	if e == nil || e.AllocsPerOp != 2006 || e.Metrics["rounds"] != 773 {
 		t.Errorf("entry did not survive the round trip: %+v", e)
@@ -85,6 +91,14 @@ func TestCompare(t *testing.T) {
 	fresh := fixture()
 	if v := Compare(committed, fresh, 0.20); len(v) != 0 {
 		t.Errorf("identical reports must compare clean, got %v", v)
+	}
+
+	// The host stamp is documentation: another host, or a snapshot older
+	// than the stamp, compares clean.
+	fresh.GOMAXPROCS, fresh.NumCPU, fresh.GoVersion = 8, 16, "go1.22.0"
+	committed.GOMAXPROCS, committed.NumCPU, committed.GoVersion = 0, 0, ""
+	if v := Compare(committed, fresh, 0.20); len(v) != 0 {
+		t.Errorf("host stamps must not gate, got %v", v)
 	}
 
 	// Within tolerance: 2006 -> 2300 is under 2006*1.2+1.

@@ -40,9 +40,13 @@ type Chain struct {
 
 	// Ring-order cache: order[i] is the handle at cyclic index i and
 	// idx[h] the index of live handle h. Splices mark it dirty; any
-	// index-based accessor rebuilds it in one O(n) ring walk.
+	// index-based accessor rebuilds it in one O(n) ring walk. ring[i] =
+	// pos[order[i]] holds the positions in the same order for the look
+	// phase (RingPos): nil until its first use, rebuilt with the order
+	// and kept current by SetPos, never copied by Clone.
 	order      []Handle
 	idx        []int32
+	ring       []grid.Vec
 	orderDirty bool
 
 	// Incremental bounding box: counts of live robots on each face of the
@@ -177,6 +181,12 @@ func (c *Chain) reindex() {
 		h = c.next[h]
 	}
 	c.order = c.order[:c.n]
+	if c.ring != nil {
+		c.ring = c.ring[:c.n]
+		for i, h := range c.order {
+			c.ring[i] = c.pos[h]
+		}
+	}
 	c.orderDirty = false
 }
 
@@ -249,23 +259,38 @@ func (c *Chain) Handles() []Handle {
 	return c.order
 }
 
-// PosStore exposes the flat per-handle position array (indexed by Handle,
-// dead handles included) for read-only hot paths — the view package reads
-// it directly so window accesses compile to plain array arithmetic. Callers
-// must not mutate it; use SetPos/MoveBy, which keep the bounding box
-// bookkeeping consistent.
-func (c *Chain) PosStore() []grid.Vec { return c.pos }
+// RingPos returns the positions in chain order: RingPos()[i] is the
+// position of the robot at cyclic index i, so the look phase (the view
+// package, the merge scan) reads a window with one load per robot. The
+// slice is shared and valid until the next splice; callers must not
+// mutate it. It is allocated on the first call only — strategies that
+// never look through a view never pay for it — and like Handles the call
+// may rebuild the cache, so concurrent readers need it materialised first.
+func (c *Chain) RingPos() []grid.Vec {
+	if c.ring == nil {
+		c.ring = make([]grid.Vec, c.n)
+		c.orderDirty = true // the rebuild below fills it
+	}
+	if c.orderDirty {
+		c.reindex()
+	}
+	return c.ring
+}
 
-// SetPos teleports the robot with handle h to p, updating the bounding box.
-// It is the substrate-level mutator used by movement rules and tests; it
-// performs no model checks (edge validity is the caller's responsibility,
-// see CheckEdges / CheckEdgesAround).
+// SetPos teleports the robot with handle h to p, updating the bounding box
+// and, when current, the ring-ordered positions. It is the substrate-level
+// mutator used by movement rules and tests; it performs no model checks
+// (edge validity is the caller's responsibility, see CheckEdges /
+// CheckEdgesAround).
 func (c *Chain) SetPos(h Handle, p grid.Vec) {
 	old := c.pos[h]
 	if old == p {
 		return
 	}
 	c.pos[h] = p
+	if c.ring != nil && !c.orderDirty && c.live[h] {
+		c.ring[c.idx[h]] = p
+	}
 	c.boundsRemove(old)
 	c.boundsAdd(p)
 }
@@ -495,7 +520,8 @@ func (c *Chain) AppendResolveMergesAround(dst []MergeEvent, seeds []Handle) []Me
 }
 
 // Clone returns a deep copy of the chain. Robot IDs (and handles) are
-// preserved so traces of a cloned run stay comparable.
+// preserved so traces of a cloned run stay comparable. The ring-ordered
+// positions are not copied: the clone allocates its own on first RingPos.
 func (c *Chain) Clone() *Chain {
 	if c.orderDirty {
 		c.reindex()

@@ -119,6 +119,22 @@ func checkAgainst(t *testing.T, trial int, c *Chain, nc *naiveChain) {
 	if got := c.Bounds(); got != wantBounds {
 		t.Fatalf("trial %d: incremental bounds %v, recomputed %v", trial, got, wantBounds)
 	}
+	checkRing(t, trial, c, nc)
+}
+
+// checkRing compares the ring-ordered position cache with the reference
+// positions at every index.
+func checkRing(t *testing.T, trial int, c *Chain, nc *naiveChain) {
+	t.Helper()
+	ring := c.RingPos()
+	if len(ring) != len(nc.pos) {
+		t.Fatalf("trial %d: RingPos has %d entries, reference %d", trial, len(ring), len(nc.pos))
+	}
+	for i, p := range nc.pos {
+		if ring[i] != p {
+			t.Fatalf("trial %d: RingPos()[%d] = %v, reference %v", trial, i, ring[i], p)
+		}
+	}
 }
 
 // TestDifferentialResolveMergesAround checks the seeded O(#moved)
@@ -126,15 +142,25 @@ func checkAgainst(t *testing.T, trial int, c *Chain, nc *naiveChain) {
 // same final configuration and remove the same robots as the reference
 // (the event order may differ between position clusters, never within
 // one, and survivor choice is order-independent: the cluster minimum
-// always survives).
+// always survives). The ring-ordered position cache must match the
+// reference after every move and every resolution, in clones and in
+// snapshot round trips too.
 func TestDifferentialResolveMergesAround(t *testing.T) {
 	rng := rand.New(rand.NewSource(1702))
+	roundTrips := 0
 	for trial := 0; trial < 300; trial++ {
 		ps := randomClosedWalkPositions(rng, 3+rng.Intn(30))
 		c := MustNew(ps)
 		nc := naiveFrom(c)
+		if trial%2 == 0 {
+			c.RingPos() // allocated before any move; odd trials allocate it later
+		}
+		checkRoundTrip(t, trial, c, nc)
 		for round := 0; round < 4; round++ {
 			seeds := mutate(t, rng, c, nc)
+			if c.ring != nil {
+				checkRing(t, trial, c, nc) // kept current by SetPos, no splice yet
+			}
 			want := nc.resolve()
 			got := c.AppendResolveMergesAround(nil, seeds)
 			if len(got) != len(want) {
@@ -154,6 +180,16 @@ func TestDifferentialResolveMergesAround(t *testing.T) {
 				}
 			}
 			checkAgainst(t, trial, c, nc)
+			cp := c.Clone()
+			if cp.ring != nil {
+				t.Fatalf("trial %d: Clone copied the ring-ordered positions", trial)
+			}
+			checkAgainst(t, trial, cp, nc)
+			// Snapshots reject illegal edges, which the mutations may leave.
+			if c.CheckEdges() == nil {
+				checkRoundTrip(t, trial, c, nc)
+				roundTrips++
+			}
 			if c.Len() > 2 {
 				if err := c.CheckNoZeroEdges(); err != nil {
 					t.Fatalf("trial %d: seeded resolution left co-located neighbours: %v", trial, err)
@@ -164,6 +200,20 @@ func TestDifferentialResolveMergesAround(t *testing.T) {
 			}
 		}
 	}
+	if roundTrips == 0 {
+		t.Error("no mutated chain was legal enough for a snapshot round trip")
+	}
+}
+
+// checkRoundTrip restores c from its snapshot and compares the restored
+// chain, ring cache included, with the reference.
+func checkRoundTrip(t *testing.T, trial int, c *Chain, nc *naiveChain) {
+	t.Helper()
+	rt, err := FromSnapshot(c.Snapshot())
+	if err != nil {
+		t.Fatalf("trial %d: snapshot round trip: %v", trial, err)
+	}
+	checkAgainst(t, trial, rt, nc)
 }
 
 // TestScratchSemantics pins the generation-clearing table the hot path

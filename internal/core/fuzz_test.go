@@ -6,6 +6,7 @@ import (
 
 	"gridgather/internal/chain"
 	"gridgather/internal/grid"
+	"gridgather/internal/view"
 )
 
 // randomWalkChain builds a random closed walk directly (the generate
@@ -128,11 +129,24 @@ func TestInjectRunRegistry(t *testing.T) {
 	if len(alg.Runs()) != 1 || alg.Runs()[0] != run {
 		t.Fatal("run registry wrong after injection")
 	}
-	views := alg.RunsOn(c.At(0))
-	if len(views) != 1 || views[0].Dir != 1 {
-		t.Fatalf("injected run not visible: %+v", views)
+	if alg.runMask[0] != view.RunsPlus {
+		t.Fatalf("injected run not in the run mask: %02b", alg.runMask[0])
 	}
-	if alg.RunsOn(c.At(1)) != nil {
+	if alg.runMask[1] != 0 {
 		t.Fatal("phantom run visible")
 	}
+	// A second run on the same robot and one elsewhere: the mask is
+	// rebuilt, not appended to, and the view reads it relative to the
+	// observer.
+	alg.InjectRun(0, -1)
+	alg.InjectRun(5, -1)
+	if alg.runMask[0] != view.RunsPlus|view.RunsMinus || alg.runMask[5] != view.RunsMinus {
+		t.Fatalf("mask after three injections: [0]=%02b [5]=%02b", alg.runMask[0], alg.runMask[5])
+	}
+	var s view.Snapshot
+	view.At(&s, c, 3, DefaultViewingPathLength, alg.runMask)
+	if !s.HasRunTowards(-3) || !s.HasRunAway(-3) || !s.HasRunTowards(2) || s.HasRunAway(2) {
+		t.Fatal("snapshot misreads the injected runs")
+	}
+	checkRunMask(t, alg, "injected")
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gridgather/internal/chain"
@@ -33,10 +34,6 @@ type startHop struct {
 // state, keeping the fan-out allocation-free (the PR 2 scratch-reuse rules
 // extended per worker).
 type workerCtx struct {
-	// loc is the worker-private view.RunLocator: the shared run registry
-	// read through a private scratch buffer, so concurrent snapshot
-	// evaluation cannot race on the engine's shared RunsOn buffer.
-	loc chunkLocator
 	// anomalies collects this worker's defensive-path counts; the driver
 	// folds them into the round total in worker order.
 	anomalies Anomalies
@@ -45,45 +42,12 @@ type workerCtx struct {
 	// ascending chain order within the chunk.
 	spikes []MergePattern
 	uturns []MergePattern
-	// KernelDecide output, in run-registry order within the chunk.
+	// KernelDecide output, in run-registry order within the chunk, each
+	// decision written in place.
 	decisions []runDecision
 	// KernelStartScan output, in chain order within the chunk.
 	pending   []pendingStart
 	startHops []startHop
-}
-
-// chunkLocator implements view.RunLocator over the algorithm's run
-// registry with a per-worker result buffer (the registry itself is
-// read-only during the look phase; only the scratch buffer needed
-// privatising).
-type chunkLocator struct {
-	a   *Algorithm
-	buf []view.RunView
-}
-
-// RunsOn implements view.RunLocator; see Algorithm.RunsOn for semantics.
-func (l *chunkLocator) RunsOn(h chain.Handle) []view.RunView {
-	l.buf = appendRunViews(&l.a.byHandle, h, l.buf[:0])
-	if len(l.buf) == 0 {
-		return nil
-	}
-	return l.buf
-}
-
-// appendRunViews appends the visible run states of robot h to dst: the one
-// registry read shared by the engine's locator and the per-worker ones.
-// Runs started in the current round are not yet visible (FSYNC semantics).
-func appendRunViews(byHandle *chain.Scratch[hostRuns], h chain.Handle, dst []view.RunView) []view.RunView {
-	hr, ok := byHandle.Get(h)
-	if !ok || hr.n == 0 {
-		return dst
-	}
-	for _, run := range hr.stored() {
-		if !run.justStarted {
-			dst = append(dst, view.RunView{Dir: run.Dir})
-		}
-	}
-	return dst
 }
 
 // forEachChunk fans fn over [0, n) in exactly len(a.workers) contiguous
@@ -110,7 +74,7 @@ func (a *Algorithm) forEachChunk(n int, fn func(worker, lo, hi int)) {
 // is owned by the chunk holding its first black and no seam coordination
 // is needed.
 //
-// Kernel contract: reads the materialised ring order and positions; writes
+// Kernel contract: reads the materialised ring-ordered positions; writes
 // only this worker's spikes/uturns buffers (reset on entry).
 func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 	switch a.activeFault() {
@@ -146,19 +110,22 @@ func (a *Algorithm) CombineMergePlan() error {
 // a.runs against the frozen look-phase state. Runs whose host sleeps this
 // round are frozen (non-FSYNC schedulers).
 //
-// Kernel contract: reads chain, merge plan and run registry; writes only
-// this worker's decisions buffer and anomaly counters (both reset on
-// entry). Snapshots are evaluated through the worker's private locator.
+// Kernel contract: reads chain, merge plan, run registry and run mask;
+// writes only this worker's decisions buffer and anomaly counters (both
+// reset on entry). The run mask is the one the previous round (or
+// InjectRun, or a restore) left, so a standalone call between rounds reads
+// a current one.
 func (a *Algorithm) KernelDecide(worker, lo, hi int) {
 	w := &a.workers[worker]
-	w.decisions = w.decisions[:0]
 	w.anomalies = Anomalies{}
-	for _, run := range a.runs[lo:hi] {
+	w.decisions = slices.Grow(w.decisions[:0], hi-lo)[:hi-lo]
+	for i, run := range a.runs[lo:hi] {
+		d := &w.decisions[i]
 		if !activeAt(a.active, a.ch.IndexOf(run.Host)) {
-			w.decisions = append(w.decisions, runDecision{run: run, frozen: true})
+			*d = runDecision{run: run, frozen: true}
 			continue
 		}
-		w.decisions = append(w.decisions, a.computeRunDecision(run, a.plan, &w.loc, &w.anomalies))
+		a.computeRunDecision(d, run, a.plan, &w.anomalies)
 	}
 }
 
@@ -173,6 +140,7 @@ func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
 	w := &a.workers[worker]
 	w.pending = w.pending[:0]
 	w.startHops = w.startHops[:0]
+	var s view.Snapshot
 	for i := lo; i < hi; i++ {
 		if !activeAt(a.active, i) {
 			continue // sleeping robots look at nothing and start nothing
@@ -181,8 +149,8 @@ func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
 		if a.plan.Participant(r) {
 			continue
 		}
-		s := view.At(a.ch, i, a.cfg.ViewingPathLength, &w.loc)
-		spec, ok := DetectStart(s)
+		view.At(&s, a.ch, i, a.cfg.ViewingPathLength, a.runMask)
+		spec, ok := DetectStart(&s)
 		if !ok {
 			continue
 		}

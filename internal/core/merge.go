@@ -67,10 +67,10 @@ func appendMergeScan(spikes, uturns []MergePattern, ch *chain.Chain, maxLen, lo,
 	if n < 3 || lo >= hi {
 		return spikes, uturns
 	}
-	// Read positions straight from the ring order and the flat position
-	// store, as view.Snapshot does: one array lookup per robot, streamed.
-	order, pos := ch.Handles(), ch.PosStore()
-	at := func(i int) grid.Vec { return pos[order[chain.WrapIndex(i, n)]] }
+	// Read positions straight from the ring-ordered position cache, as
+	// view.Snapshot does: one array load per robot, streamed.
+	ring := ch.RingPos()
+	at := func(i int) grid.Vec { return ring[chain.WrapIndex(i, n)] }
 	p := at(lo)
 	prev := p.Sub(at(lo - 1))
 	for i := lo; i < hi; i++ {

@@ -20,7 +20,7 @@ import (
 // refEndpointAhead is the group-all quasi-line parser: it groups every edge
 // within view into maximal runs of identical edges first, then walks the
 // groups. EndpointAhead must agree with it on every snapshot.
-func refEndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
+func refEndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
 	maxEdges := min(s.V(), s.ChainLen()-1)
 	if maxEdges < 2 {
 		return 0, false
@@ -85,13 +85,13 @@ func refEndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
 }
 
 // refAlignedTriple is the window-scan triple check.
-func refAlignedTriple(s view.Snapshot, d int) bool {
+func refAlignedTriple(s *view.Snapshot, d int) bool {
 	return s.ChainLen() >= 3 && s.AlignedAhead(d) >= 2
 }
 
 // refDetectStart is DetectStart over refAlignedTriple, with the stairway
 // check evaluating the triple again per direction.
-func refDetectStart(s view.Snapshot) (StartSpec, bool) {
+func refDetectStart(s *view.Snapshot) (StartSpec, bool) {
 	if s.ChainLen() < MinChainForRuns {
 		return StartSpec{}, false
 	}
@@ -110,7 +110,7 @@ func refDetectStart(s view.Snapshot) (StartSpec, bool) {
 	return StartSpec{}, false
 }
 
-func refStairwayStart(s view.Snapshot, d int) (StartSpec, bool) {
+func refStairwayStart(s *view.Snapshot, d int) (StartSpec, bool) {
 	if !refAlignedTriple(s, d) {
 		return StartSpec{}, false
 	}
@@ -141,7 +141,7 @@ func checkPredicates(t testing.TB, c *chain.Chain, label string) int {
 	checked := 0
 	for _, v := range []int{7, 11, n - 1} {
 		for i := 0; i < n; i++ {
-			s := view.At(c, i, v, nil)
+			s := snapV(c, i, v)
 			for _, d := range [2]int{+1, -1} {
 				off, ok := EndpointAhead(s, d)
 				wantOff, wantOK := refEndpointAhead(s, d)
@@ -149,7 +149,7 @@ func checkPredicates(t testing.TB, c *chain.Chain, label string) int {
 					t.Fatalf("%s: EndpointAhead(V=%d, i=%d, d=%+d) = (%d, %v), reference (%d, %v)\nchain: %v",
 						label, v, i, d, off, ok, wantOff, wantOK, c.Positions())
 				}
-				if got, want := alignedTriple(&s, d, s.Edge(0, d)), refAlignedTriple(s, d); got != want {
+				if got, want := alignedTriple(s, d, s.Edge(0, d)), refAlignedTriple(s, d); got != want {
 					t.Fatalf("%s: alignedTriple(V=%d, i=%d, d=%+d) = %v, reference %v\nchain: %v",
 						label, v, i, d, got, want, c.Positions())
 				}
@@ -258,7 +258,7 @@ func FuzzPredicatesVsReference(f *testing.F) {
 		n := c.Len()
 		if v := 3 + int(extra)%20; n >= 4 {
 			for i := 0; i < n; i++ {
-				s := view.At(c, i, v, nil)
+				s := snapV(c, i, v)
 				for _, d := range [2]int{+1, -1} {
 					off, ok := EndpointAhead(s, d)
 					if wantOff, wantOK := refEndpointAhead(s, d); off != wantOff || ok != wantOK {

@@ -57,14 +57,14 @@ func alignedTriple(s *view.Snapshot, d int, ahead grid.Vec) bool {
 // Chains shorter than MinChainForRuns never start runs: the inspected
 // windows would self-overlap and such chains always shorten by merges
 // alone. The returned Dirs slice is shared; callers must not mutate it.
-func DetectStart(s view.Snapshot) (StartSpec, bool) {
+func DetectStart(s *view.Snapshot) (StartSpec, bool) {
 	if s.ChainLen() < MinChainForRuns {
 		return StartSpec{}, false
 	}
 	ePlus := s.Edge(0, +1)
 	eMinus := s.Edge(0, -1)
-	aheadPlus := alignedTriple(&s, +1, ePlus)
-	aheadMinus := alignedTriple(&s, -1, eMinus)
+	aheadPlus := alignedTriple(s, +1, ePlus)
+	aheadMinus := alignedTriple(s, -1, eMinus)
 
 	// Corner start: straight >= 3 on both sides, perpendicular.
 	if aheadPlus && aheadMinus && ePlus.Perp(eMinus) {
@@ -76,10 +76,10 @@ func DetectStart(s view.Snapshot) (StartSpec, bool) {
 	}
 
 	// Stairway start, trying each direction as the quasi-line side.
-	if aheadPlus && stairwayBehind(&s, +1, ePlus, eMinus) {
+	if aheadPlus && stairwayBehind(s, +1, ePlus, eMinus) {
 		return StartSpec{Dirs: plusDir, Kind: StartStairway}, true
 	}
-	if aheadMinus && stairwayBehind(&s, -1, eMinus, ePlus) {
+	if aheadMinus && stairwayBehind(s, -1, eMinus, ePlus) {
 		return StartSpec{Dirs: minusDir, Kind: StartStairway}, true
 	}
 	return StartSpec{}, false
@@ -125,7 +125,7 @@ func stairwayBehind(s *view.Snapshot, d int, axis, b1 grid.Vec) bool {
 // length of the quasi line seen, whatever the viewing range, and the scan
 // allocates nothing — which keeps the unbounded-view pair walk
 // (pairStarts) as cheap as a robot's own look.
-func EndpointAhead(s view.Snapshot, d int) (endOffset int, ok bool) {
+func EndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
 	maxEdges := min(s.V(), s.ChainLen()-1)
 	if maxEdges < 2 {
 		return 0, false

@@ -49,8 +49,15 @@ func jogChain(t *testing.T) *chain.Chain {
 	)
 }
 
-func snap(c *chain.Chain, i int) view.Snapshot {
-	return view.At(c, i, DefaultViewingPathLength, nil)
+func snap(c *chain.Chain, i int) *view.Snapshot {
+	return snapV(c, i, DefaultViewingPathLength)
+}
+
+// snapV is snap with an explicit viewing path length.
+func snapV(c *chain.Chain, i, v int) *view.Snapshot {
+	s := new(view.Snapshot)
+	view.At(s, c, i, v, nil)
+	return s
 }
 
 func TestDetectStartCorner(t *testing.T) {
@@ -221,7 +228,7 @@ func TestEndpointAheadJogContinues(t *testing.T) {
 	if err != nil {
 		t.Skipf("construction imbalance: %v", err)
 	}
-	if off, ok := EndpointAhead(view.At(c, 0, 11, nil), +1); ok {
+	if off, ok := EndpointAhead(snapV(c, 0, 11), +1); ok {
 		t.Errorf("quasi line with jogs reported endpoint at %d", off)
 	}
 }
@@ -260,10 +267,10 @@ func TestEndpointAheadPureStairway(t *testing.T) {
 func TestCornerAt(t *testing.T) {
 	c := mustChain(t, squareRing(12)...)
 	corner0, corner12, mid := snap(c, 0), snap(c, 12), snap(c, 5)
-	if !cornerAt(&corner0, +1) || !cornerAt(&corner12, +1) {
+	if !cornerAt(corner0, +1) || !cornerAt(corner12, +1) {
 		t.Error("ring corners not recognised")
 	}
-	if cornerAt(&mid, +1) {
+	if cornerAt(mid, +1) {
 		t.Error("mid-side robot is not a corner")
 	}
 }

@@ -1,0 +1,167 @@
+package core
+
+import (
+	"math/rand"
+	"testing"
+
+	"gridgather/internal/chain"
+	"gridgather/internal/generate"
+	"gridgather/internal/sched"
+	"gridgather/internal/view"
+)
+
+// The look phase reads run states from the ring-indexed run mask
+// (indexRuns). It replaced a per-robot lookup in the run registry; that
+// lookup is kept here, verbatim in spirit, as the test-only reference the
+// mask must equal for every robot at every round.
+
+// refRunBits is the registry lookup the mask replaced: the directions of
+// the runs the registry lists on robot h that a look phase may see (not
+// started this round), as mask bits.
+func refRunBits(a *Algorithm, h chain.Handle) uint8 {
+	hr, ok := a.byHandle.Get(h)
+	if !ok {
+		return 0
+	}
+	var bits uint8
+	for _, run := range hr.stored() {
+		if !run.justStarted {
+			bits |= view.RunBit(run.Dir)
+		}
+	}
+	return bits
+}
+
+// checkRunMask compares the mask with the reference at every ring index,
+// in the state the next look phase decides in: StepActivated clears the
+// just-started flags before it decides, and so does this check (which
+// changes nothing the next Step would see). It returns the number of runs
+// the mask carried.
+func checkRunMask(t testing.TB, a *Algorithm, label string) int {
+	t.Helper()
+	for _, run := range a.runs {
+		run.justStarted = false
+	}
+	for i, h := range a.ch.Handles() {
+		if got, want := a.runMask[i], refRunBits(a, h); got != want {
+			t.Fatalf("%s round %d: run mask at index %d (robot %d) is %02b, registry %02b",
+				label, a.round, i, h, got, want)
+		}
+	}
+	return len(a.runs)
+}
+
+// gatherCheckingRunMask runs the paper strategy on c under the scheduler
+// and worker count for at most maxRounds rounds, checking the run mask
+// before every round. It returns the number of run-rounds checked.
+func gatherCheckingRunMask(t testing.TB, c *chain.Chain, sc sched.Config, workers, maxRounds int, label string) int {
+	t.Helper()
+	cfg := DefaultConfig()
+	cfg.Workers = workers
+	alg, err := New(c, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	s, err := sched.New(sc)
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	var active []bool
+	checked := 0
+	for r := 0; r < maxRounds && !alg.Gathered(); r++ {
+		checked += checkRunMask(t, alg, label)
+		var set []bool
+		if !s.FullySync() {
+			active = append(active[:0], make([]bool, c.Len())...)
+			s.Activate(alg.Round(), active)
+			set = active
+		}
+		if _, err := alg.StepActivated(set); err != nil {
+			t.Fatalf("%s round %d: %v", label, r, err)
+		}
+	}
+	checked += checkRunMask(t, alg, label)
+	return checked
+}
+
+// TestRunMaskMatchesRegistry holds the run mask to the registry lookup on
+// seeded paper gathers of squares, polyominoes, spirals, walks and
+// generate.FromBytes chains, under FSYNC and random:p=0.5 activation, at
+// one and four workers.
+func TestRunMaskMatchesRegistry(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	type input struct {
+		label string
+		c     *chain.Chain
+	}
+	var inputs []input
+	add := func(label string, c *chain.Chain, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		inputs = append(inputs, input{label, c})
+	}
+	for _, side := range []int{12, 40} {
+		c, err := generate.Rectangle(side, side)
+		add("square", c, err)
+	}
+	for _, cells := range []int{40, 120} {
+		c, err := generate.RandomPolyomino(cells, rng)
+		add("polyomino", c, err)
+	}
+	for _, w := range []int{4, 8} {
+		c, err := generate.Spiral(w)
+		add("spiral", c, err)
+	}
+	for _, n := range []int{64, 160} {
+		c, err := generate.RandomClosedWalk(n, rng)
+		add("walk", c, err)
+	}
+	for k := 0; k < 4; k++ {
+		data := make([]byte, 16+rng.Intn(100))
+		rng.Read(data)
+		c, err := generate.FromBytes(data)
+		add("bytes", c, err)
+	}
+	scheds := []sched.Config{{}, {Kind: sched.Random, P: 0.5, Seed: 7}}
+	checked := 0
+	for _, in := range inputs {
+		for _, sc := range scheds {
+			for _, workers := range []int{1, 4} {
+				label := in.label + "/" + sc.String()
+				checked += gatherCheckingRunMask(t, in.c.Clone(), sc, workers, 20*in.c.Len(), label)
+			}
+		}
+	}
+	t.Logf("checked %d run-rounds", checked)
+	if checked < 20000 {
+		t.Errorf("checked only %d run-rounds; the battery lost its runs", checked)
+	}
+}
+
+// FuzzRunMaskVsRegistry is the native fuzz form of the same property: any
+// generate.FromBytes chain, with the selector byte choosing FSYNC or a
+// seeded random:p=0.5 schedule and one or four workers.
+func FuzzRunMaskVsRegistry(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3}, uint8(0))
+	f.Add([]byte("corner-and-stairway-starts"), uint8(3))
+	f.Add([]byte{0, 1, 0, 1, 0, 1, 2, 3, 2, 3, 2, 3, 0, 0, 1, 2, 2, 3}, uint8(6))
+	f.Fuzz(func(t *testing.T, data []byte, sel uint8) {
+		if len(data) > 256 {
+			return
+		}
+		c, err := generate.FromBytes(data)
+		if err != nil {
+			return
+		}
+		var sc sched.Config
+		if sel&1 != 0 {
+			sc = sched.Config{Kind: sched.Random, P: 0.5, Seed: int64(sel >> 2)}
+		}
+		workers := 1
+		if sel&2 != 0 {
+			workers = 4
+		}
+		gatherCheckingRunMask(t, c, sc, workers, 4*c.Len(), "fuzz")
+	})
+}

@@ -47,28 +47,30 @@ func passBudgetFor(cfg Config) int { return 2 * cfg.ViewingPathLength }
 // computeRunDecision evaluates the paper's per-round runner rule (Fig 15,
 // step 2) for a single run: first the termination conditions of Table 1,
 // then run passing (continuation or trigger), then the traverse operations
-// (b)/(c), then the reshapement operation (a). loc and an are the calling
-// worker's private snapshot locator and anomaly counters (kernels.go): the
-// rule itself only reads shared round state, so chunks may evaluate it
-// concurrently.
-func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLocator, an *Anomalies) runDecision {
-	d := runDecision{
-		run:             run,
-		mergeRobot:      -1,
-		advanceTo:       chain.None,
-		newMode:         run.Mode,
-		newTraverseLeft: run.TraverseLeft,
-		newOpOrigin:     run.OpOrigin,
-		newOpTarget:     run.OpTarget,
-		newPassTarget:   run.PassTarget,
-		newPassBudget:   run.PassBudget,
-	}
+// (b)/(c), then the reshapement operation (a). The decision is written to
+// *d, a slot of the calling worker's decisions buffer, and an is that
+// worker's anomaly counters (kernels.go): the rule itself only reads
+// shared round state, so chunks may evaluate it concurrently.
+func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan, an *Anomalies) {
+	// Clear the reused slot, then set the non-zero defaults: assigning a
+	// composite literal would build it in a temporary and copy it.
+	*d = runDecision{}
+	d.run = run
+	d.mergeRobot = -1
+	d.advanceTo = chain.None
+	d.newMode = run.Mode
+	d.newTraverseLeft = run.TraverseLeft
+	d.newOpOrigin = run.OpOrigin
+	d.newOpTarget = run.OpTarget
+	d.newPassTarget = run.PassTarget
+	d.newPassBudget = run.PassBudget
 	idx := a.ch.IndexOf(run.Host)
 	if idx < 0 {
 		d.terminate, d.reason = true, TermHostRemoved
-		return d
+		return
 	}
-	s := view.At(a.ch, idx, a.cfg.ViewingPathLength, loc)
+	var s view.Snapshot
+	view.At(&s, a.ch, idx, a.cfg.ViewingPathLength, a.runMask)
 	dir := run.Dir
 	scanMax := min(a.cfg.ViewingPathLength, a.ch.Len()-1)
 
@@ -76,12 +78,12 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 	if plan.Participant(run.Host) {
 		d.terminate, d.reason = true, TermMerge
 		d.mergeRobot = a.patternOf(idx, run.Dir, plan)
-		return d
+		return
 	}
 
 	// The visible end of the quasi line bounds both remaining checks: runs
 	// beyond it belong to other quasi lines.
-	endOff, endSeen := EndpointAhead(s, dir)
+	endOff, endSeen := EndpointAhead(&s, dir)
 
 	// Table 1.1 — a sequent (same-direction) run is visible in front on
 	// the same quasi line ("sequent" is the paper's term for pipelined
@@ -94,7 +96,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 	for j := 1; j <= seqMax; j++ {
 		if s.HasRunAway(j * dir) {
 			d.terminate, d.reason = true, TermSequentRun
-			return d
+			return
 		}
 	}
 
@@ -102,11 +104,11 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 	// traverse operation was removed by a merge.
 	if run.Mode == ModePassing && run.PassTarget != chain.None && !a.ch.Contains(run.PassTarget) {
 		d.terminate, d.reason = true, TermPassTargetGone
-		return d
+		return
 	}
 	if run.Mode == ModeTraverse && run.OpTarget != chain.None && !a.ch.Contains(run.OpTarget) {
 		d.terminate, d.reason = true, TermOpTargetGone
-		return d
+		return
 	}
 
 	// Table 1.2 — the endpoint of the quasi line is visible in front, with
@@ -124,7 +126,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 		}
 		if !approaching {
 			d.terminate, d.reason = true, TermEndpoint
-			return d
+			return
 		}
 	}
 
@@ -137,7 +139,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 		if d.newPassBudget < 0 {
 			d.terminate, d.reason = true, TermStuck
 		}
-		return d
+		return
 	}
 
 	// Run passing trigger: an approaching run within distance 3 (checked
@@ -164,7 +166,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 			d.newPassTarget = partner.Host
 		}
 		d.newTraverseLeft, d.newOpOrigin, d.newOpTarget = 0, chain.None, chain.None
-		return d
+		return
 	}
 
 	// Traverse continuation (operations (b)/(c)): move without hopping.
@@ -174,7 +176,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 			d.newMode = ModeNormal
 			d.newTraverseLeft, d.newOpOrigin, d.newOpTarget = 0, chain.None, chain.None
 		}
-		return d
+		return
 	}
 
 	// Normal mode: reshapement operations at a corner (Fig 11).
@@ -182,7 +184,7 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 		// A run should only stand mid-segment transiently; advance without
 		// hopping and let the structure ahead decide its fate.
 		an.NotOnCorner++
-		return d
+		return
 	}
 	switch sa := s.AlignedAhead(dir); {
 	case sa >= 3:
@@ -203,16 +205,17 @@ func (a *Algorithm) computeRunDecision(run *Run, plan *MergePlan, loc view.RunLo
 		// structure is about to resolve via a merge or condition 2.
 		an.ShortAhead++
 	}
-	return d
 }
 
 // approachingRunAt returns a run on the robot at view offset k moving
-// towards the observer (direction opposite to dir), or nil.
+// towards the observer (direction opposite to dir), or nil. The run mask
+// answers the common "none" case; only a set bit consults the registry
+// for the run itself.
 func (a *Algorithm) approachingRunAt(s *view.Snapshot, k, dir int) *Run {
-	hr, ok := a.byHandle.Get(s.Robot(k))
-	if !ok {
+	if !s.HasRunTowards(k) {
 		return nil
 	}
+	hr, _ := a.byHandle.Get(s.Robot(k))
 	for _, r := range hr.stored() {
 		if r.Dir == -dir && !r.justStarted {
 			return r

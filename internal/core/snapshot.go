@@ -128,8 +128,8 @@ func RestoreStrategy(name StrategyName, ch *chain.Chain, cfg Config, snap Strate
 }
 
 // restore loads the snapshot into a freshly constructed Algorithm,
-// rebuilding the per-host registry the same way the end-of-round rebuild
-// does.
+// rebuilding the per-host registry and the run mask the same way the
+// end-of-round rebuild does.
 func (a *Algorithm) restore(snap StrategySnapshot) error {
 	nh := a.ch.NumHandles()
 	for i := range snap.Runs {
@@ -171,10 +171,8 @@ func (a *Algorithm) restore(snap StrategySnapshot) error {
 			justStarted:  rs.JustStarted,
 		}
 		a.runs = append(a.runs, run)
-		hr, _ := a.byHandle.Get(run.Host)
-		hr.add(run)
-		a.byHandle.Set(run.Host, hr)
 	}
+	a.indexRuns()
 	a.round = snap.Round
 	a.nextRun = snap.NextRun
 	a.nextPair = snap.NextPair

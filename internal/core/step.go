@@ -53,7 +53,6 @@ type stepScratch struct {
 	moved       []chain.Handle
 	alive       []*Run
 	pairKey     map[[2]int]int
-	runViews    []view.RunView
 	starts      []StartEvent
 	ends        []EndEvent
 	mergeEvents []chain.MergeEvent
@@ -68,9 +67,15 @@ type Algorithm struct {
 	ch       *chain.Chain
 	runs     []*Run
 	byHandle chain.Scratch[hostRuns]
-	round    int
-	nextRun  int
-	nextPair int
+	// runMask is the ring-indexed run-direction mask the look phase reads
+	// (view.RunBit per hosted run), and runMaskSet the indices its last
+	// build set, so the next build clears it in O(#runs). Both are
+	// rebuilt with byHandle by indexRuns.
+	runMask    []uint8
+	runMaskSet []int32
+	round      int
+	nextRun    int
+	nextPair   int
 
 	// plan and scratch are reused round over round (cleared, never
 	// re-allocated); their contents are valid only within one Step call.
@@ -116,9 +121,10 @@ func New(ch *chain.Chain, cfg Config) (*Algorithm, error) {
 		return nil, err
 	}
 	a := &Algorithm{
-		cfg:  cfg,
-		ch:   ch,
-		plan: NewMergePlan(),
+		cfg:     cfg,
+		ch:      ch,
+		runMask: make([]uint8, ch.Len()), // chains only shrink
+		plan:    NewMergePlan(),
 		scratch: stepScratch{
 			pairKey: make(map[[2]int]int),
 		},
@@ -127,9 +133,6 @@ func New(ch *chain.Chain, cfg Config) (*Algorithm, error) {
 	a.byHandle.Reset(ch.NumHandles())
 	p := max(cfg.Workers, 1)
 	a.workers = make([]workerCtx, p)
-	for i := range a.workers {
-		a.workers[i].loc.a = a
-	}
 	if p > 1 {
 		a.pool = parallel.NewPool(p)
 	}
@@ -151,19 +154,6 @@ func (a *Algorithm) Round() int { return a.round }
 // Runs returns the currently active runs. The slice is shared; callers
 // must not mutate it.
 func (a *Algorithm) Runs() []*Run { return a.runs }
-
-// RunsOn implements view.RunLocator: the run states visible on a robot.
-// Runs started in the current round are not yet visible, matching FSYNC
-// semantics (they exist from the next look phase on). The returned slice
-// is a shared scratch buffer, valid until the next RunsOn call; the view
-// predicates (HasRunTowards/HasRunAway) consume it immediately.
-func (a *Algorithm) RunsOn(h chain.Handle) []view.RunView {
-	a.scratch.runViews = appendRunViews(&a.byHandle, h, a.scratch.runViews[:0])
-	if len(a.scratch.runViews) == 0 {
-		return nil
-	}
-	return a.scratch.runViews
-}
 
 // Gathered reports whether the configuration satisfies the termination
 // condition (all robots within a 2x2 square).
@@ -197,6 +187,7 @@ func (a *Algorithm) pairStarts(pending []pendingStart) {
 	for i, p := range pending {
 		byKey[[2]int{p.idx, p.dir}] = i
 	}
+	var s view.Snapshot
 	for i := range pending {
 		p := &pending[i]
 		if p.pair >= 0 {
@@ -205,8 +196,8 @@ func (a *Algorithm) pairStarts(pending []pendingStart) {
 		// Walk the quasi line from the start robot in moving direction;
 		// the partner sits at its far end, moving back towards us. Use an
 		// unbounded view: the instrumentation may see the whole chain.
-		s := view.At(a.ch, p.idx, n-1, a)
-		endOff, ok := EndpointAhead(s, p.dir)
+		view.At(&s, a.ch, p.idx, n-1, a.runMask)
+		endOff, ok := EndpointAhead(&s, p.dir)
 		if !ok || endOff == 0 {
 			continue
 		}
@@ -246,10 +237,37 @@ func (a *Algorithm) InjectRun(idx, dir int) *Run {
 	}
 	a.nextRun++
 	a.runs = append(a.runs, run)
-	hr, _ := a.byHandle.Get(host)
-	hr.add(run)
-	a.byHandle.Set(host, hr)
+	a.indexRuns()
 	return run
+}
+
+// indexRuns rebuilds the two lookups over a.runs that the next look phase
+// reads: the per-host registry (byHandle) and the ring-indexed
+// run-direction mask. Every listed run is visible to that look phase — it
+// clears the just-started flags before any decision — so the mask carries
+// them all. The mask is cleared at the indices its previous build set, not
+// swept, so a rebuild costs O(#runs). It runs at the end of every round,
+// in InjectRun and in restore, so a standalone kernel call between rounds
+// reads a current mask.
+func (a *Algorithm) indexRuns() {
+	a.byHandle.Reset(a.ch.NumHandles())
+	for _, i := range a.runMaskSet {
+		a.runMask[i] = 0
+	}
+	a.runMaskSet = a.runMaskSet[:0]
+	for _, run := range a.runs {
+		hr, _ := a.byHandle.Get(run.Host)
+		hr.add(run)
+		a.byHandle.Set(run.Host, hr)
+		i := a.ch.IndexOf(run.Host)
+		if i < 0 {
+			continue // off the chain: the next decide terminates the run
+		}
+		if a.runMask[i] == 0 {
+			a.runMaskSet = append(a.runMaskSet, int32(i))
+		}
+		a.runMask[i] |= view.RunBit(run.Dir)
+	}
 }
 
 // resolveAlive follows merge survivor links (recorded in the scratch
@@ -308,10 +326,12 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	sc := &a.scratch
 	nh := a.ch.NumHandles()
 	n := a.ch.Len()
-	// Materialise the lazy ring-order cache before any fan-out: the
-	// look-phase kernels read it lock-free, so the one mutation it hides
-	// (reindex) must happen here, on the driver.
+	// Materialise the lazy ring caches (order and positions) before any
+	// fan-out: the look-phase kernels read them lock-free, so the
+	// mutations they hide (reindex, the first allocation of the position
+	// cache) must happen here, on the driver.
 	a.ch.Handles()
+	a.ch.RingPos()
 
 	// ---- Look & compute -------------------------------------------------
 	// 1. Merge patterns (Fig 15 step 1). Participants suspend run
@@ -579,15 +599,10 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	sc.starts = starts
 	rep.Starts = starts
 
-	// Rebuild the run registry and audit occupancy. The O(1) generation
-	// reset drops the previous round's entries, so robots removed by
-	// merges are not retained.
-	a.byHandle.Reset(nh)
-	for _, run := range a.runs {
-		hr, _ := a.byHandle.Get(run.Host)
-		hr.add(run)
-		a.byHandle.Set(run.Host, hr)
-	}
+	// Rebuild the run registry and mask, and audit occupancy. The O(1)
+	// generation reset drops the previous round's entries, so robots
+	// removed by merges are not retained.
+	a.indexRuns()
 	for _, h := range a.byHandle.Keys() {
 		if hr, ok := a.byHandle.Get(h); ok && hr.n > 2 {
 			a.anomalies.TripleOccupancy++

@@ -134,54 +134,49 @@ func (m *Model) RunStates() []RunState {
 	return out
 }
 
-// snapshotView materialises the ring into the slice layout view.Over
-// expects: order[i] = handle (== id) of the robot at ring index i, pos
-// indexed by id over the whole id space. Rebuilt from scratch whenever a
-// view is needed — full-rescan naivety is the point.
+// snapshotView materialises the ring into the ring-indexed slices
+// view.Over expects: pos[i] and order[i] = handle (== id) of the robot at
+// ring index i, and runs the run-direction mask (nil until runMask fills
+// it). Rebuilt from scratch every round — full-rescan naivety is the
+// point.
 type snapshotView struct {
-	order []chain.Handle
 	pos   []grid.Vec
+	order []chain.Handle
+	runs  []uint8
 }
 
 func (m *Model) materialise() snapshotView {
-	maxID := 0
-	for id := range m.byID {
-		if id > maxID {
-			maxID = id
-		}
-	}
-	sv := snapshotView{
-		order: make([]chain.Handle, 0, m.n),
-		pos:   make([]grid.Vec, maxID+1),
-	}
+	var sv snapshotView
 	for _, nd := range m.ring() {
+		sv.pos = append(sv.pos, nd.pos)
 		sv.order = append(sv.order, chain.Handle(nd.id))
-	}
-	for id, nd := range m.byID {
-		sv.pos[id] = nd.pos
 	}
 	return sv
 }
 
-// runsOn implements view.RunLocator over the model's run list by full
-// scan: all live runs hosted on the robot with that handle, in creation
-// order, excluding runs started this very round (FSYNC visibility).
-type modelRuns struct{ m *Model }
-
-func (mr modelRuns) RunsOn(h chain.Handle) []view.RunView {
-	var out []view.RunView
-	for _, r := range mr.m.runs {
-		if r.host.id == int(h) && !r.justStarted {
-			out = append(out, view.RunView{Dir: r.dir})
+// runMask builds the ring-indexed run-direction mask by a full scan of the
+// run list: a bit per direction of every run hosted on the robot at each
+// ring index, excluding runs started this very round (FSYNC visibility).
+// It shares nothing with the engine's end-of-round mask rebuild.
+func (m *Model) runMask() []uint8 {
+	nodes := m.ring()
+	mask := make([]uint8, len(nodes))
+	for i, nd := range nodes {
+		for _, r := range m.runs {
+			if r.host == nd && !r.justStarted {
+				mask[i] |= view.RunBit(r.dir)
+			}
 		}
 	}
-	return out
+	return mask
 }
 
 // viewAt builds the model's local view of ring index i with viewing path
 // length v.
-func (m *Model) viewAt(sv snapshotView, i, v int) view.Snapshot {
-	return view.Over(sv.order, sv.pos, i, v, modelRuns{m})
+func (m *Model) viewAt(sv snapshotView, i, v int) *view.Snapshot {
+	s := new(view.Snapshot)
+	view.Over(s, sv.pos, sv.order, i, v, sv.runs)
+	return s
 }
 
 // ---- merge planning --------------------------------------------------------
@@ -718,6 +713,7 @@ func (m *Model) StepActivated(active []bool) (core.RoundReport, error) {
 	for _, run := range m.runs {
 		run.justStarted = false
 	}
+	sv.runs = m.runMask()
 	decisions := make([]mdecision, 0, len(m.runs))
 	for _, run := range m.runs {
 		if !activeAt(active, m.ringIndexOf(run.host)) {

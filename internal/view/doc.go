@@ -6,8 +6,11 @@
 // visibility along the chain is what the paper's termination condition
 // "it can see the next sequent run in front of it" relies on).
 //
-// A Snapshot is a window onto the chain centred at one robot. It engineers
-// the locality discipline: any attempt to look past the viewing path length
+// A Snapshot is a window onto the chain centred at one robot, filled in
+// place by At (or Over) over ring-indexed arrays: the positions in chain
+// order, the handles in chain order, and a run mask carrying one bit per
+// run direction for each robot (RunsPlus, RunsMinus). It engineers the
+// locality discipline: any attempt to look past the viewing path length
 // panics, so unit tests immediately catch rules that are not local.
 // Snapshots expose relative positions only; absolute coordinates and robot
 // identities are not part of the observable interface used by decision

@@ -7,90 +7,84 @@ import (
 	"gridgather/internal/grid"
 )
 
-// RunView is the externally visible part of a run state carried by a robot:
-// its moving direction along the chain. Directions are +1 (increasing chain
-// index) or -1; an observer compares them against its own viewing direction,
-// so no global orientation is implied.
-type RunView struct {
-	Dir int
+// Run-direction mask bits. A run mask is a ring-indexed []uint8: entry i
+// holds one bit per moving direction of the run states carried by the
+// robot at cyclic index i. Directions are chain directions (+1 towards
+// increasing index, -1 the other way); an observer compares them against
+// its own viewing direction, so no global orientation is implied. A nil
+// mask means no runs anywhere.
+const (
+	RunsPlus  uint8 = 1 << iota // a run moving towards increasing chain index
+	RunsMinus                   // a run moving towards decreasing chain index
+)
+
+// RunBit returns the mask bit of a run moving in chain direction dir
+// (+1 or -1).
+func RunBit(dir int) uint8 {
+	if dir > 0 {
+		return RunsPlus
+	}
+	return RunsMinus
 }
-
-// RunLocator reports the run states visible on a robot, identified by its
-// chain handle. The engine's run registry implements it; tests may
-// substitute fakes.
-//
-// Buffer contract: implementations may return a shared scratch slice that
-// is only valid until the next RunsOn call (the engine's registry does, to
-// keep the per-round hot path allocation-free). Consumers must finish
-// iterating one result before requesting another; the Snapshot predicates
-// below all do.
-type RunLocator interface {
-	RunsOn(h chain.Handle) []RunView
-}
-
-// EmptyRuns is a RunLocator with no runs anywhere.
-type EmptyRuns struct{}
-
-// RunsOn implements RunLocator.
-func (EmptyRuns) RunsOn(chain.Handle) []RunView { return nil }
 
 // Snapshot is one robot's view of the chain: the robots at chain offsets
 // -V..+V relative to itself. Offsets wrap around the closed chain, so on a
 // short chain the same robot can appear at several offsets, exactly as a
 // robot with local vision would perceive it.
 type Snapshot struct {
-	// order and pos alias the chain's ring-order cache and flat position
-	// store (chain.Handles / chain.PosStore): window accesses are plain
-	// array arithmetic with no per-access indirection through the chain.
-	// Snapshots are look-phase values — the aliases are valid until the
-	// chain splices, which only happens after all views are consumed.
+	// ring, order and runs alias ring-indexed arrays (chain.RingPos,
+	// chain.Handles and the caller's run mask): a window access is one
+	// array load with no indirection through handles. Snapshots are
+	// look-phase values — the aliases are valid until the chain splices,
+	// which only happens after all views are consumed.
+	ring      []grid.Vec
 	order     []chain.Handle
-	pos       []grid.Vec
+	runs      []uint8
 	center    int
 	centerPos grid.Vec
 	v         int
 	n         int
-	runs      RunLocator
+	// wraps records whether the window [center-v, center+v] crosses the
+	// ends of the ring; when it does not, an offset maps to its ring index
+	// by one addition.
+	wraps bool
 }
 
-// At builds the snapshot of the robot at index center with viewing path
-// length v. runs may be nil when run states are irrelevant.
-func At(ch *chain.Chain, center, v int, runs RunLocator) Snapshot {
-	return Over(ch.Handles(), ch.PosStore(), center, v, runs)
+// At fills s with the view of the robot at index center with viewing path
+// length v. runs is the ring-indexed run mask (nil when run states are
+// irrelevant). The chain's ring caches must be materialised before views
+// are taken concurrently (chain.RingPos).
+func At(s *Snapshot, ch *chain.Chain, center, v int, runs []uint8) {
+	Over(s, ch.RingPos(), ch.Handles(), center, v, runs)
 }
 
-// Over builds a snapshot directly over a ring-order slice and a flat
-// per-handle position store, without a *chain.Chain behind them: the one
-// snapshot constructor, which At wraps for the engine's chain and which
-// alternate chain backends call directly — the conformance oracle's naive
-// model (internal/oracle) materialises its pointer ring into plain slices
-// each round and evaluates the same pure decision predicates the engine
-// uses, so engine and model cannot drift apart at the rule level.
-// order[i] is the handle at cyclic index i; pos is indexed by handle and
-// must cover every handle in order.
-func Over(order []chain.Handle, pos []grid.Vec, center, v int, runs RunLocator) Snapshot {
-	if runs == nil {
-		runs = EmptyRuns{}
-	}
+// Over fills s directly over ring-indexed slices, without a *chain.Chain
+// behind them: the one snapshot constructor, which At wraps for the
+// engine's chain and which alternate chain backends call directly — the
+// conformance oracle's naive model (internal/oracle) materialises its
+// pointer ring into plain slices each round and evaluates the same pure
+// decision predicates the engine uses, so engine and model cannot drift
+// apart at the rule level. ring[i] is the position and order[i] the handle
+// of the robot at cyclic index i; runs is nil or covers every index.
+func Over(s *Snapshot, ring []grid.Vec, order []chain.Handle, center, v int, runs []uint8) {
+	// Field by field: a composite literal would be built in a temporary
+	// and copied, a cost paid once per run per round.
 	n := len(order)
 	center = chain.WrapIndex(center, n)
-	return Snapshot{
-		order:     order,
-		pos:       pos,
-		center:    center,
-		centerPos: pos[order[center]],
-		v:         v,
-		n:         n,
-		runs:      runs,
-	}
+	s.ring, s.order, s.runs = ring, order, runs
+	s.center, s.centerPos = center, ring[center]
+	s.v, s.n = v, n
+	s.wraps = center-v < 0 || center+v >= n
 }
 
 // idx maps a window offset to a ring index (the shared cyclic-wrap
-// arithmetic of chain.WrapIndex, applied to the cached centre).
-func (s *Snapshot) idx(k int) int { return chain.WrapIndex(s.center+k, s.n) }
-
-// abs returns the absolute position of the robot at window offset k.
-func (s *Snapshot) abs(k int) grid.Vec { return s.pos[s.order[s.idx(k)]] }
+// arithmetic of chain.WrapIndex, needed only when the window wraps).
+func (s *Snapshot) idx(k int) int {
+	if s.wraps {
+		return chain.WrapIndex(s.center+k, s.n)
+	}
+	return s.center + k
+}
 
 // V returns the viewing path length.
 func (s *Snapshot) V() int { return s.v }
@@ -107,7 +101,7 @@ func (s *Snapshot) check(k int) {
 // observing robot. Rel(0) is always the zero vector.
 func (s *Snapshot) Rel(k int) grid.Vec {
 	s.check(k)
-	return s.abs(k).Sub(s.centerPos)
+	return s.ring[s.idx(k)].Sub(s.centerPos)
 }
 
 // Edge returns the displacement from the robot at offset k to the robot at
@@ -116,14 +110,7 @@ func (s *Snapshot) Rel(k int) grid.Vec {
 func (s *Snapshot) Edge(k, d int) grid.Vec {
 	s.check(k + d)
 	s.check(k)
-	return s.abs(k + d).Sub(s.abs(k))
-}
-
-// Runs returns the run states visible on the robot at offset k. The slice
-// follows the RunLocator buffer contract: valid until the next Runs call.
-func (s *Snapshot) Runs(k int) []RunView {
-	s.check(k)
-	return s.runs.RunsOn(s.order[s.idx(k)])
+	return s.ring[s.idx(k+d)].Sub(s.ring[s.idx(k)])
 }
 
 // HasRunTowards reports whether the robot at offset k carries a run whose
@@ -133,13 +120,7 @@ func (s *Snapshot) HasRunTowards(k int) bool {
 	if k == 0 {
 		return false
 	}
-	want := -sign(k)
-	for _, r := range s.Runs(k) {
-		if r.Dir == want {
-			return true
-		}
-	}
-	return false
+	return s.hasRun(k, -sign(k))
 }
 
 // HasRunAway reports whether the robot at offset k carries a run moving
@@ -148,13 +129,13 @@ func (s *Snapshot) HasRunAway(k int) bool {
 	if k == 0 {
 		return false
 	}
-	want := sign(k)
-	for _, r := range s.Runs(k) {
-		if r.Dir == want {
-			return true
-		}
-	}
-	return false
+	return s.hasRun(k, sign(k))
+}
+
+// hasRun reads the run mask at offset k for a run moving in dir.
+func (s *Snapshot) hasRun(k, dir int) bool {
+	s.check(k)
+	return s.runs != nil && s.runs[s.idx(k)]&RunBit(dir) != 0
 }
 
 // Robot exposes the handle of the robot at offset k for engine bookkeeping
@@ -180,15 +161,14 @@ func (s *Snapshot) AlignedAhead(d int) int {
 	if maxScan < 1 {
 		return 0
 	}
-	prev := s.centerPos
-	cur := s.abs(d)
-	first := cur.Sub(prev)
+	cur := s.ring[s.idx(d)]
+	first := cur.Sub(s.centerPos)
 	if !first.IsAxisUnit() {
 		return 0
 	}
 	count := 1
 	for j := 2; j <= maxScan; j++ {
-		next := s.abs(j * d)
+		next := s.ring[s.idx(j*d)]
 		if next.Sub(cur) != first {
 			break
 		}

@@ -1,6 +1,7 @@
 package view
 
 import (
+	"math/rand"
 	"testing"
 
 	"gridgather/internal/chain"
@@ -29,10 +30,17 @@ func ring(t *testing.T, w, h int) *chain.Chain {
 	return c
 }
 
+// at returns a fresh snapshot of the robot at center.
+func at(c *chain.Chain, center, v int, runs []uint8) *Snapshot {
+	s := new(Snapshot)
+	At(s, c, center, v, runs)
+	return s
+}
+
 func TestRelIsRelative(t *testing.T) {
 	c := ring(t, 6, 4)
 	for center := 0; center < c.Len(); center += 5 {
-		s := At(c, center, 11, nil)
+		s := at(c, center, 11, nil)
 		if s.Rel(0) != grid.Zero {
 			t.Fatalf("Rel(0) = %v", s.Rel(0))
 		}
@@ -47,7 +55,7 @@ func TestRelIsRelative(t *testing.T) {
 
 func TestLocalityEnforced(t *testing.T) {
 	c := ring(t, 10, 10)
-	s := At(c, 0, 11, nil)
+	s := at(c, 0, 11, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("offset beyond the viewing path length must panic")
@@ -58,18 +66,18 @@ func TestLocalityEnforced(t *testing.T) {
 
 func TestLocalityEnforcedNegative(t *testing.T) {
 	c := ring(t, 10, 10)
-	s := At(c, 0, 11, nil)
+	s := at(c, 0, 11, nil)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative offset beyond the viewing path length must panic")
 		}
 	}()
-	s.Runs(-12)
+	s.HasRunAway(-12)
 }
 
 func TestEdge(t *testing.T) {
 	c := ring(t, 6, 4)
-	s := At(c, 0, 11, nil)
+	s := at(c, 0, 11, nil)
 	if got := s.Edge(0, +1); got != grid.East {
 		t.Errorf("Edge(0,+1) = %v", got)
 	}
@@ -84,7 +92,7 @@ func TestEdge(t *testing.T) {
 
 func TestWrapAroundShortChain(t *testing.T) {
 	c := ring(t, 2, 1) // 6 robots, shorter than the viewing range
-	s := At(c, 0, 11, nil)
+	s := at(c, 0, 11, nil)
 	// Offset 6 wraps to the robot itself.
 	if s.Rel(6) != grid.Zero {
 		t.Errorf("wrapped Rel(6) = %v", s.Rel(6))
@@ -94,25 +102,26 @@ func TestWrapAroundShortChain(t *testing.T) {
 	}
 }
 
-// fakeRuns marks specific robots with run directions.
-type fakeRuns map[chain.Handle][]int
-
-func (f fakeRuns) RunsOn(h chain.Handle) []RunView {
-	var out []RunView
-	for _, d := range f[h] {
-		out = append(out, RunView{Dir: d})
+// fakeRuns builds the run mask marking the robots at the given ring
+// indices with run directions.
+func fakeRuns(c *chain.Chain, dirs map[int][]int) []uint8 {
+	mask := make([]uint8, c.Len())
+	for i, ds := range dirs {
+		for _, d := range ds {
+			mask[i] |= RunBit(d)
+		}
 	}
-	return out
+	return mask
 }
 
 func TestRunVisibility(t *testing.T) {
 	c := ring(t, 8, 8)
-	runs := fakeRuns{
-		c.At(3): {+1},
-		c.At(5): {-1},
-		c.At(7): {+1, -1},
-	}
-	s := At(c, 0, 11, runs)
+	runs := fakeRuns(c, map[int][]int{
+		3: {+1},
+		5: {-1},
+		7: {+1, -1},
+	})
+	s := at(c, 0, 11, runs)
 	if !s.HasRunAway(3) {
 		t.Error("run at +3 moving +1 must read as moving away")
 	}
@@ -130,7 +139,7 @@ func TestRunVisibility(t *testing.T) {
 	}
 	// Looking backwards: the run at +3 seen from robot 6 is at offset -3
 	// and moves towards larger indices, i.e. towards robot 6: approaching.
-	s6 := At(c, 6, 11, runs)
+	s6 := at(c, 6, 11, runs)
 	if !s6.HasRunTowards(-3) {
 		t.Error("run at -3 moving +1 must read as approaching")
 	}
@@ -141,7 +150,7 @@ func TestRunVisibility(t *testing.T) {
 
 func TestAlignedAhead(t *testing.T) {
 	c := ring(t, 8, 3)
-	s := At(c, 0, 11, nil)
+	s := at(c, 0, 11, nil)
 	// Bottom row has 9 robots: from (0,0), 8 are aligned ahead.
 	if got := s.AlignedAhead(+1); got != 8 {
 		t.Errorf("AlignedAhead(+1) = %d, want 8", got)
@@ -151,18 +160,73 @@ func TestAlignedAhead(t *testing.T) {
 		t.Errorf("AlignedAhead(-1) = %d, want 3", got)
 	}
 	// From a robot one before the corner.
-	s = At(c, 7, 11, nil)
+	s = at(c, 7, 11, nil)
 	if got := s.AlignedAhead(+1); got != 1 {
 		t.Errorf("AlignedAhead from pre-corner = %d, want 1", got)
 	}
 }
 
-func TestEmptyRunsLocator(t *testing.T) {
+func TestNilRunMask(t *testing.T) {
 	c := ring(t, 4, 4)
-	s := At(c, 0, 11, EmptyRuns{})
-	for k := -4; k <= 4; k++ {
-		if len(s.Runs(k)) != 0 {
-			t.Fatalf("EmptyRuns must report no runs")
+	s := at(c, 0, 11, nil)
+	for k := -11; k <= 11; k++ {
+		if s.HasRunAway(k) || s.HasRunTowards(k) {
+			t.Fatalf("a nil run mask must report no runs (offset %d)", k)
+		}
+	}
+}
+
+// TestSnapshotAccessorsMatchNaive checks every accessor at every centre
+// and offset against the naive lookup pos[order[wrap(center+k)]]: windows
+// that stay inside the ring, windows that wrap, chains shorter than the
+// 2V+1 window, and the n-1 view of the start-pair walk.
+func TestSnapshotAccessorsMatchNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, dims := range [][2]int{{1, 1}, {2, 1}, {3, 2}, {6, 4}, {10, 10}, {25, 3}} {
+		c := ring(t, dims[0], dims[1])
+		n := c.Len()
+		order := c.Handles()
+		wrap := func(i int) int { return ((i % n) + n) % n }
+		pos := func(i int) grid.Vec { return c.PosOf(order[wrap(i)]) }
+		mask := make([]uint8, n)
+		for i := range mask {
+			mask[i] = uint8(rng.Intn(4))
+		}
+		for _, v := range []int{1, 3, 11, n - 1, 2*n + 1} {
+			for center := -n; center < 2*n; center++ {
+				s := at(c, center, v, mask)
+				if s.ChainLen() != n || s.V() != v {
+					t.Fatalf("n=%d v=%d centre %d: ChainLen %d, V %d", n, v, center, s.ChainLen(), s.V())
+				}
+				for k := -v; k <= v; k++ {
+					i := wrap(center + k)
+					if got, want := s.Rel(k), pos(center+k).Sub(pos(center)); got != want {
+						t.Fatalf("n=%d v=%d centre %d: Rel(%d) = %v, naive %v", n, v, center, k, got, want)
+					}
+					if got, want := s.Robot(k), order[i]; got != want {
+						t.Fatalf("n=%d v=%d centre %d: Robot(%d) = %d, naive %d", n, v, center, k, got, want)
+					}
+					away, towards := mask[i]&RunsPlus != 0, mask[i]&RunsMinus != 0
+					if k < 0 {
+						away, towards = towards, away
+					}
+					if k == 0 {
+						away, towards = false, false
+					}
+					if s.HasRunAway(k) != away || s.HasRunTowards(k) != towards {
+						t.Fatalf("n=%d v=%d centre %d: runs at %d read (%v, %v), naive (%v, %v)",
+							n, v, center, k, s.HasRunAway(k), s.HasRunTowards(k), away, towards)
+					}
+					for _, d := range [2]int{+1, -1} {
+						if k+d < -v || k+d > v {
+							continue
+						}
+						if got, want := s.Edge(k, d), pos(center+k+d).Sub(pos(center+k)); got != want {
+							t.Fatalf("n=%d v=%d centre %d: Edge(%d, %+d) = %v, naive %v", n, v, center, k, d, got, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
