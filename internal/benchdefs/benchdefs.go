@@ -161,7 +161,7 @@ func KernelMergeScan4096(b *testing.B) {
 	}
 	n := alg.Chain().Len()
 	alg.Chain().Handles() // materialise the ring caches, as the driver would
-	alg.Chain().RingPos()
+	alg.Chain().EdgeCodes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -208,7 +208,7 @@ func KernelStartScan4096(b *testing.B) {
 	}
 	n := alg.Chain().Len()
 	alg.Chain().Handles()
-	alg.Chain().RingPos()
+	alg.Chain().EdgeCodes()
 	alg.KernelMergeScan(0, 0, n)
 	if err := alg.CombineMergePlan(); err != nil {
 		b.Fatal(err)
@@ -245,7 +245,7 @@ func steppedSquare4096(b *testing.B, rounds int) *core.Algorithm {
 	}
 	n := alg.Chain().Len()
 	alg.Chain().Handles()
-	alg.Chain().RingPos()
+	alg.Chain().EdgeCodes()
 	alg.KernelMergeScan(0, 0, n)
 	if err := alg.CombineMergePlan(); err != nil {
 		b.Fatal(err)

@@ -40,13 +40,13 @@ type Chain struct {
 
 	// Ring-order cache: order[i] is the handle at cyclic index i and
 	// idx[h] the index of live handle h. Splices mark it dirty; any
-	// index-based accessor rebuilds it in one O(n) ring walk. ring[i] =
-	// pos[order[i]] holds the positions in the same order for the look
-	// phase (RingPos): nil until its first use, rebuilt with the order
-	// and kept current by SetPos, never copied by Clone.
+	// index-based accessor rebuilds it in one O(n) ring walk. edges[i] is
+	// the code of the edge from index i to i+1, in the same order, for
+	// the look phase (EdgeCodes): nil until its first use, rebuilt with
+	// the order and kept current by SetPos, never copied by Clone.
 	order      []Handle
 	idx        []int32
-	ring       []grid.Vec
+	edges      []grid.EdgeCode
 	orderDirty bool
 
 	// Incremental bounding box: counts of live robots on each face of the
@@ -172,21 +172,24 @@ func WrapIndex(i, n int) int {
 // norm maps any integer index into [0, Len).
 func (c *Chain) norm(i int) int { return WrapIndex(i, c.n) }
 
-// reindex rebuilds the ring-order cache by walking the linked ring once.
+// reindex rebuilds the ring-order cache, and the edge codes when they are
+// allocated, by walking the linked ring once.
 func (c *Chain) reindex() {
+	coded := c.edges != nil
+	if coded {
+		c.edges = c.edges[:c.n]
+	}
 	h := c.head
 	for i := 0; i < c.n; i++ {
 		c.order[i] = h
 		c.idx[h] = int32(i)
-		h = c.next[h]
+		nx := c.next[h]
+		if coded {
+			c.edges[i] = grid.EdgeOf(c.pos[nx].Sub(c.pos[h]))
+		}
+		h = nx
 	}
 	c.order = c.order[:c.n]
-	if c.ring != nil {
-		c.ring = c.ring[:c.n]
-		for i, h := range c.order {
-			c.ring[i] = c.pos[h]
-		}
-	}
 	c.orderDirty = false
 }
 
@@ -259,37 +262,40 @@ func (c *Chain) Handles() []Handle {
 	return c.order
 }
 
-// RingPos returns the positions in chain order: RingPos()[i] is the
-// position of the robot at cyclic index i, so the look phase (the view
-// package, the merge scan) reads a window with one load per robot. The
-// slice is shared and valid until the next splice; callers must not
-// mutate it. It is allocated on the first call only — strategies that
-// never look through a view never pay for it — and like Handles the call
-// may rebuild the cache, so concurrent readers need it materialised first.
-func (c *Chain) RingPos() []grid.Vec {
-	if c.ring == nil {
-		c.ring = make([]grid.Vec, c.n)
+// EdgeCodes returns the chain's edges in chain order, one byte each:
+// EdgeCodes()[i] is grid.EdgeOf(Edge(i)), the code of the edge from the
+// robot at cyclic index i to the one at i+1. The look phase (the view
+// package, the merge scan) reads its windows from it. The slice is
+// shared and valid until the next splice; callers must not mutate it. It
+// is allocated on the first call only — strategies that never look
+// through a view never pay for it — and like Handles the call may rebuild
+// the cache, so concurrent readers need it materialised first.
+func (c *Chain) EdgeCodes() []grid.EdgeCode {
+	if c.edges == nil {
+		c.edges = make([]grid.EdgeCode, c.n)
 		c.orderDirty = true // the rebuild below fills it
 	}
 	if c.orderDirty {
 		c.reindex()
 	}
-	return c.ring
+	return c.edges
 }
 
 // SetPos teleports the robot with handle h to p, updating the bounding box
-// and, when current, the ring-ordered positions. It is the substrate-level
-// mutator used by movement rules and tests; it performs no model checks
-// (edge validity is the caller's responsibility, see CheckEdges /
-// CheckEdgesAround).
+// and, when current, the codes of the two edges incident to h. It is the
+// substrate-level mutator used by movement rules and tests; it performs
+// no model checks (edge validity is the caller's responsibility, see
+// CheckEdges / CheckEdgesAround).
 func (c *Chain) SetPos(h Handle, p grid.Vec) {
 	old := c.pos[h]
 	if old == p {
 		return
 	}
 	c.pos[h] = p
-	if c.ring != nil && !c.orderDirty && c.live[h] {
-		c.ring[c.idx[h]] = p
+	if c.edges != nil && !c.orderDirty && c.live[h] {
+		i := int(c.idx[h])
+		c.edges[i] = grid.EdgeOf(c.pos[c.next[h]].Sub(p))
+		c.edges[WrapIndex(i-1, c.n)] = grid.EdgeOf(p.Sub(c.pos[c.prev[h]]))
 	}
 	c.boundsRemove(old)
 	c.boundsAdd(p)
@@ -520,8 +526,8 @@ func (c *Chain) AppendResolveMergesAround(dst []MergeEvent, seeds []Handle) []Me
 }
 
 // Clone returns a deep copy of the chain. Robot IDs (and handles) are
-// preserved so traces of a cloned run stay comparable. The ring-ordered
-// positions are not copied: the clone allocates its own on first RingPos.
+// preserved so traces of a cloned run stay comparable. The edge codes are
+// not copied: the clone allocates its own on first EdgeCodes.
 func (c *Chain) Clone() *Chain {
 	if c.orderDirty {
 		c.reindex()

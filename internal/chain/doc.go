@@ -13,9 +13,10 @@
 // no reindexing of later robots. Cyclic index access (At/Pos/Edge) goes
 // through a ring-order cache that is invalidated by splices and rebuilt
 // lazily in one O(n) walk, at most once per round in the simulator. The
-// look phase reads positions in ring order (RingPos): that cache is
-// allocated on its first use only, rebuilt with the order, kept current
-// by SetPos, and never copied by Clone. The bounding box is maintained
-// incrementally on every move and splice, so Gathered() is O(1) in the
-// steady state.
+// look phase reads the chain as one byte per edge in ring order
+// (EdgeCodes, grid.EdgeCode): that cache is allocated on its first use
+// only, rebuilt with the order, kept current by SetPos for the two edges
+// at the moved robot, and never copied by Clone. The bounding box is
+// maintained incrementally on every move and splice, so Gathered() is
+// O(1) in the steady state.
 package chain

@@ -1,5 +1,5 @@
 package chain
 
-// RingAllocated reports whether the chain has allocated its ring-ordered
-// position cache (RingPos), for the external tests.
-func RingAllocated(c *Chain) bool { return c.ring != nil }
+// EdgeCodesAllocated reports whether the chain has allocated its edge-code
+// cache (EdgeCodes), for the external tests.
+func EdgeCodesAllocated(c *Chain) bool { return c.edges != nil }

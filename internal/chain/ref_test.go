@@ -119,20 +119,21 @@ func checkAgainst(t *testing.T, trial int, c *Chain, nc *naiveChain) {
 	if got := c.Bounds(); got != wantBounds {
 		t.Fatalf("trial %d: incremental bounds %v, recomputed %v", trial, got, wantBounds)
 	}
-	checkRing(t, trial, c, nc)
+	checkEdgeCodes(t, trial, c, nc)
 }
 
-// checkRing compares the ring-ordered position cache with the reference
-// positions at every index.
-func checkRing(t *testing.T, trial int, c *Chain, nc *naiveChain) {
+// checkEdgeCodes compares the edge-code cache with the codes of the
+// reference positions' edges at every index.
+func checkEdgeCodes(t *testing.T, trial int, c *Chain, nc *naiveChain) {
 	t.Helper()
-	ring := c.RingPos()
-	if len(ring) != len(nc.pos) {
-		t.Fatalf("trial %d: RingPos has %d entries, reference %d", trial, len(ring), len(nc.pos))
+	edges := c.EdgeCodes()
+	n := len(nc.pos)
+	if len(edges) != n {
+		t.Fatalf("trial %d: EdgeCodes has %d entries, reference %d", trial, len(edges), n)
 	}
 	for i, p := range nc.pos {
-		if ring[i] != p {
-			t.Fatalf("trial %d: RingPos()[%d] = %v, reference %v", trial, i, ring[i], p)
+		if want := grid.EdgeOf(nc.pos[(i+1)%n].Sub(p)); edges[i] != want {
+			t.Fatalf("trial %d: EdgeCodes()[%d] = %v, reference %v", trial, i, edges[i], want)
 		}
 	}
 }
@@ -142,9 +143,9 @@ func checkRing(t *testing.T, trial int, c *Chain, nc *naiveChain) {
 // same final configuration and remove the same robots as the reference
 // (the event order may differ between position clusters, never within
 // one, and survivor choice is order-independent: the cluster minimum
-// always survives). The ring-ordered position cache must match the
-// reference after every move and every resolution, in clones and in
-// snapshot round trips too.
+// always survives). The edge-code cache must match the reference after
+// every move and every resolution, in clones (which must not carry it)
+// and in snapshot round trips too.
 func TestDifferentialResolveMergesAround(t *testing.T) {
 	rng := rand.New(rand.NewSource(1702))
 	roundTrips := 0
@@ -153,13 +154,13 @@ func TestDifferentialResolveMergesAround(t *testing.T) {
 		c := MustNew(ps)
 		nc := naiveFrom(c)
 		if trial%2 == 0 {
-			c.RingPos() // allocated before any move; odd trials allocate it later
+			c.EdgeCodes() // allocated before any move; odd trials allocate it later
 		}
 		checkRoundTrip(t, trial, c, nc)
 		for round := 0; round < 4; round++ {
 			seeds := mutate(t, rng, c, nc)
-			if c.ring != nil {
-				checkRing(t, trial, c, nc) // kept current by SetPos, no splice yet
+			if c.edges != nil {
+				checkEdgeCodes(t, trial, c, nc) // kept current by SetPos, no splice yet
 			}
 			want := nc.resolve()
 			got := c.AppendResolveMergesAround(nil, seeds)
@@ -181,8 +182,8 @@ func TestDifferentialResolveMergesAround(t *testing.T) {
 			}
 			checkAgainst(t, trial, c, nc)
 			cp := c.Clone()
-			if cp.ring != nil {
-				t.Fatalf("trial %d: Clone copied the ring-ordered positions", trial)
+			if cp.edges != nil {
+				t.Fatalf("trial %d: Clone copied the edge codes", trial)
 			}
 			checkAgainst(t, trial, cp, nc)
 			// Snapshots reject illegal edges, which the mutations may leave.
@@ -206,12 +207,16 @@ func TestDifferentialResolveMergesAround(t *testing.T) {
 }
 
 // checkRoundTrip restores c from its snapshot and compares the restored
-// chain, ring cache included, with the reference.
+// chain, edge codes included, with the reference. A restored chain starts
+// without the cache, like a clone.
 func checkRoundTrip(t *testing.T, trial int, c *Chain, nc *naiveChain) {
 	t.Helper()
 	rt, err := FromSnapshot(c.Snapshot())
 	if err != nil {
 		t.Fatalf("trial %d: snapshot round trip: %v", trial, err)
+	}
+	if rt.edges != nil {
+		t.Fatalf("trial %d: FromSnapshot built the edge codes eagerly", trial)
 	}
 	checkAgainst(t, trial, rt, nc)
 }

@@ -74,7 +74,7 @@ func (a *Algorithm) forEachChunk(n int, fn func(worker, lo, hi int)) {
 // is owned by the chunk holding its first black and no seam coordination
 // is needed.
 //
-// Kernel contract: reads the materialised ring-ordered positions; writes
+// Kernel contract: reads the materialised edge codes; writes
 // only this worker's spikes/uturns buffers (reset on entry).
 func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
 	switch a.activeFault() {
@@ -134,22 +134,24 @@ func (a *Algorithm) KernelDecide(worker, lo, hi int) {
 // round gating and the SequentialRuns ablation are the driver's business;
 // the kernel always scans.
 //
-// Kernel contract: reads chain, merge plan and run registry; writes only
-// this worker's pending/startHops buffers (reset on entry).
+// Kernel contract: reads the materialised edge codes and handles, merge
+// plan, run registry and run mask; writes only this worker's
+// pending/startHops buffers (reset on entry).
 func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
 	w := &a.workers[worker]
 	w.pending = w.pending[:0]
 	w.startHops = w.startHops[:0]
 	var s view.Snapshot
+	edges, order := a.ch.EdgeCodes(), a.ch.Handles()
 	for i := lo; i < hi; i++ {
 		if !activeAt(a.active, i) {
 			continue // sleeping robots look at nothing and start nothing
 		}
-		r := a.ch.At(i)
+		r := order[i]
 		if a.plan.Participant(r) {
 			continue
 		}
-		view.At(&s, a.ch, i, a.cfg.ViewingPathLength, a.runMask)
+		view.Over(&s, edges, order, i, a.cfg.ViewingPathLength, a.runMask)
 		spec, ok := DetectStart(&s)
 		if !ok {
 			continue

@@ -67,42 +67,37 @@ func appendMergeScan(spikes, uturns []MergePattern, ch *chain.Chain, maxLen, lo,
 	if n < 3 || lo >= hi {
 		return spikes, uturns
 	}
-	// Read positions straight from the ring-ordered position cache, as
-	// view.Snapshot does: one array load per robot, streamed.
-	ring := ch.RingPos()
-	at := func(i int) grid.Vec { return ring[chain.WrapIndex(i, n)] }
-	p := at(lo)
-	prev := p.Sub(at(lo - 1))
+	// Read the chain's edge codes, as view.Snapshot does: one byte per
+	// edge, streamed; cur is edge i, prev edge i-1.
+	edges := ch.EdgeCodes()
+	prev := edges[chain.WrapIndex(lo-1, n)]
 	for i := lo; i < hi; i++ {
-		q := at(i + 1)
-		cur := q.Sub(p)
-		if prev.IsAxisUnit() && cur == prev.Neg() {
-			spikes = append(spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
+		cur := edges[i]
+		if prev.IsUnit() && cur == prev.Neg() {
+			spikes = append(spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur.Vec()})
 		}
 		if cur != prev {
 			// Edge i starts a maximal straight run (a closed chain has at
 			// least two direction changes, so the scan always terminates).
 			// after is the edge that ends the run; it is read only when
 			// the run ends short of maxLen.
-			l, end := 1, q
-			var after grid.Vec
+			l := 1
+			var after grid.EdgeCode
 			for l < maxLen {
-				next := at(i + l + 1)
-				if after = next.Sub(end); after != cur {
+				if after = edges[chain.WrapIndex(i+l, n)]; after != cur {
 					break
 				}
-				end = next
 				l++
 			}
 			// l == maxLen means k = l+1 > maxLen whatever the run's true
 			// length; below it l is the exact maximal run length.
 			if k := l + 1; l < maxLen && k+2 <= n {
-				if after.IsAxisUnit() && after == prev.Neg() && after.Perp(cur) {
-					uturns = append(uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
+				if after.IsUnit() && after == prev.Neg() && after.Perp(cur) {
+					uturns = append(uturns, MergePattern{FirstBlack: i, Len: k, Hop: after.Vec()})
 				}
 			}
 		}
-		prev, p = cur, q
+		prev = cur
 	}
 	return spikes, uturns
 }

@@ -7,6 +7,7 @@ import (
 
 	"gridgather/internal/chain"
 	"gridgather/internal/generate"
+	"gridgather/internal/grid"
 )
 
 // refDetectMerges is the test-only reference for the merge scan
@@ -42,6 +43,66 @@ func refDetectMerges(ch *chain.Chain, maxLen int) []MergePattern {
 		}
 	}
 	return patterns
+}
+
+// refMergeScan is the merge scan as it read positions before the look
+// phase read edge codes: appendMergeScan's loop over the ring-ordered
+// positions pos, with each edge rebuilt by subtracting two positions.
+func refMergeScan(spikes, uturns []MergePattern, pos []grid.Vec, maxLen, lo, hi int) ([]MergePattern, []MergePattern) {
+	n := len(pos)
+	if n < 3 || lo >= hi {
+		return spikes, uturns
+	}
+	at := func(i int) grid.Vec { return pos[((i%n)+n)%n] }
+	p := at(lo)
+	prev := p.Sub(at(lo - 1))
+	for i := lo; i < hi; i++ {
+		q := at(i + 1)
+		cur := q.Sub(p)
+		if prev.IsAxisUnit() && cur == prev.Neg() {
+			spikes = append(spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur})
+		}
+		if cur != prev {
+			l, end := 1, q
+			var after grid.Vec
+			for l < maxLen {
+				next := at(i + l + 1)
+				if after = next.Sub(end); after != cur {
+					break
+				}
+				end = next
+				l++
+			}
+			if k := l + 1; l < maxLen && k+2 <= n {
+				if after.IsAxisUnit() && after == prev.Neg() && after.Perp(cur) {
+					uturns = append(uturns, MergePattern{FirstBlack: i, Len: k, Hop: after})
+				}
+			}
+		}
+		prev, p = cur, q
+	}
+	return spikes, uturns
+}
+
+// checkMergeScan holds the coded merge scan to refMergeScan chunk by chunk,
+// for one, two and five chunks and detection lengths 1, 3 and V-1.
+func checkMergeScan(t testing.TB, c *chain.Chain, label string) {
+	t.Helper()
+	pos := c.Positions()
+	n := len(pos)
+	for _, maxLen := range []int{1, 3, DefaultViewingPathLength - 1} {
+		for _, p := range []int{1, 2, 5} {
+			for w := 0; w < p; w++ {
+				lo, hi := w*n/p, (w+1)*n/p
+				gotS, gotU := appendMergeScan(nil, nil, c, maxLen, lo, hi)
+				wantS, wantU := refMergeScan(nil, nil, pos, maxLen, lo, hi)
+				if fmt.Sprint(gotS, gotU) != fmt.Sprint(wantS, wantU) {
+					t.Fatalf("%s: merge scan maxLen=%d chunk [%d,%d) = %v %v, position reference %v %v",
+						label, maxLen, lo, hi, gotS, gotU, wantS, wantU)
+				}
+			}
+		}
+	}
 }
 
 // samePatterns fails the test unless got equals want element by element.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -11,16 +12,91 @@ import (
 	"gridgather/internal/view"
 )
 
-// Differential tests for the early-exit look-phase predicates. The lockstep
+// Differential tests for the coded look-phase predicates. The lockstep
 // oracle evaluates the very same core.EndpointAhead and core.DetectStart
-// (DESIGN.md §7), so it cannot see a drift in them; the buffered reference
-// implementations below can. They are the parser and the triple check the
-// streaming versions replaced, kept verbatim as test-only references.
+// (DESIGN.md §7), so it cannot see a drift in them; the references below
+// can. They read positions, not edge codes: posView is the position-based
+// window the look phase used before it read one byte per edge, and the
+// references are the buffered parser and the window-scan triple check the
+// streaming versions replaced, kept as test-only references over it.
+
+// ringState is a configuration's positions and handles in ring order,
+// copied from the chain once, with a run mask the caller supplies.
+type ringState struct {
+	pos   []grid.Vec
+	order []chain.Handle
+	runs  []uint8
+}
+
+func ringOf(c *chain.Chain, runs []uint8) ringState {
+	return ringState{pos: c.Positions(), order: append([]chain.Handle(nil), c.Handles()...), runs: runs}
+}
+
+// posView is one robot's window over a ringState, with the accessors of
+// view.Snapshot computed from positions.
+type posView struct {
+	ringState
+	center, v, n int
+}
+
+func (r ringState) view(center, v int) *posView {
+	n := len(r.order)
+	return &posView{ringState: r, center: ((center % n) + n) % n, v: v, n: n}
+}
+
+func (p *posView) V() int        { return p.v }
+func (p *posView) ChainLen() int { return p.n }
+
+// at returns the ring index of offset k, panicking outside the view.
+func (p *posView) at(k int) int {
+	if k < -p.v || k > p.v {
+		panic(fmt.Sprintf("posView: offset %d outside viewing path length %d", k, p.v))
+	}
+	return ((p.center+k)%p.n + p.n) % p.n
+}
+
+func (p *posView) Rel(k int) grid.Vec       { return p.pos[p.at(k)].Sub(p.pos[p.center]) }
+func (p *posView) Edge(k, d int) grid.Vec   { return p.Rel(k + d).Sub(p.Rel(k)) }
+func (p *posView) Robot(k int) chain.Handle { return p.order[p.at(k)] }
+
+// runAt reads the run mask at offset k for a run moving in dir.
+func (p *posView) runAt(k, dir int) bool {
+	i := p.at(k)
+	return k != 0 && p.runs != nil && p.runs[i]&view.RunBit(dir) != 0
+}
+
+func (p *posView) HasRunAway(k int) bool    { return p.runAt(k, sgn(k)) }
+func (p *posView) HasRunTowards(k int) bool { return p.runAt(k, -sgn(k)) }
+
+func sgn(k int) int {
+	if k < 0 {
+		return -1
+	}
+	return 1
+}
+
+// AlignedAhead is the position-based window scan of view.Snapshot's
+// AlignedAhead.
+func (p *posView) AlignedAhead(d int) int {
+	maxScan := min(p.v, p.n-1)
+	if maxScan < 1 {
+		return 0
+	}
+	first := p.Edge(0, d)
+	if !first.IsAxisUnit() {
+		return 0
+	}
+	count := 1
+	for j := 2; j <= maxScan && p.Edge((j-1)*d, d) == first; j++ {
+		count++
+	}
+	return count
+}
 
 // refEndpointAhead is the group-all quasi-line parser: it groups every edge
 // within view into maximal runs of identical edges first, then walks the
 // groups. EndpointAhead must agree with it on every snapshot.
-func refEndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
+func refEndpointAhead(s *posView, d int) (endOffset int, ok bool) {
 	maxEdges := min(s.V(), s.ChainLen()-1)
 	if maxEdges < 2 {
 		return 0, false
@@ -85,13 +161,13 @@ func refEndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
 }
 
 // refAlignedTriple is the window-scan triple check.
-func refAlignedTriple(s *view.Snapshot, d int) bool {
+func refAlignedTriple(s *posView, d int) bool {
 	return s.ChainLen() >= 3 && s.AlignedAhead(d) >= 2
 }
 
 // refDetectStart is DetectStart over refAlignedTriple, with the stairway
 // check evaluating the triple again per direction.
-func refDetectStart(s *view.Snapshot) (StartSpec, bool) {
+func refDetectStart(s *posView) (StartSpec, bool) {
 	if s.ChainLen() < MinChainForRuns {
 		return StartSpec{}, false
 	}
@@ -110,7 +186,7 @@ func refDetectStart(s *view.Snapshot) (StartSpec, bool) {
 	return StartSpec{}, false
 }
 
-func refStairwayStart(s *view.Snapshot, d int) (StartSpec, bool) {
+func refStairwayStart(s *posView, d int) (StartSpec, bool) {
 	if !refAlignedTriple(s, d) {
 		return StartSpec{}, false
 	}
@@ -129,33 +205,50 @@ func refStairwayStart(s *view.Snapshot, d int) (StartSpec, bool) {
 	return StartSpec{Dirs: []int{d}, Kind: StartStairway}, true
 }
 
-// checkPredicates asserts that the production predicates equal their
-// references at every index of c, in both directions, for V in
-// {7, 11, n-1}. It returns the number of snapshots compared.
+// checkPredicates asserts that the coded predicates equal their
+// position-based references at every index of c, in both directions, for
+// V in {7, 11, n-1} — EndpointAhead, the triple check, DetectStart,
+// AlignedAhead and the one-pass scan's endpoint, aligned count and edges
+// at the observer — and that the merge scan equals the position-based
+// scan it replaced over several chunkings and detection lengths. It
+// returns the number of snapshots compared.
 func checkPredicates(t testing.TB, c *chain.Chain, label string) int {
 	t.Helper()
 	n := c.Len()
 	if n < 4 {
 		return 0
 	}
+	checkMergeScan(t, c, label)
+	ref := ringOf(c, nil)
 	checked := 0
 	for _, v := range []int{7, 11, n - 1} {
 		for i := 0; i < n; i++ {
 			s := snapV(c, i, v)
+			p := ref.view(i, v)
 			for _, d := range [2]int{+1, -1} {
 				off, ok := EndpointAhead(s, d)
-				wantOff, wantOK := refEndpointAhead(s, d)
+				wantOff, wantOK := refEndpointAhead(p, d)
 				if off != wantOff || ok != wantOK {
 					t.Fatalf("%s: EndpointAhead(V=%d, i=%d, d=%+d) = (%d, %v), reference (%d, %v)\nchain: %v",
 						label, v, i, d, off, ok, wantOff, wantOK, c.Positions())
 				}
-				if got, want := alignedTriple(s, d, s.Edge(0, d)), refAlignedTriple(s, d); got != want {
+				if got, want := alignedTriple(s, d, s.Edge(0, d)), refAlignedTriple(p, d); got != want {
 					t.Fatalf("%s: alignedTriple(V=%d, i=%d, d=%+d) = %v, reference %v\nchain: %v",
 						label, v, i, d, got, want, c.Positions())
 				}
+				if got, want := s.AlignedAhead(d), p.AlignedAhead(d); got != want {
+					t.Fatalf("%s: AlignedAhead(V=%d, i=%d, d=%+d) = %d, reference %d", label, v, i, d, got, want)
+				}
+				var l lineScan
+				scanLine(s, d, min(v, n-1), 0, &l)
+				if l.aligned != p.AlignedAhead(d) || l.end != wantOff || l.endSeen != wantOK ||
+					l.lead.Vec() != p.Edge(0, d) || l.trail.Vec() != p.Edge(0, -d) {
+					t.Fatalf("%s: scanLine(V=%d, i=%d, d=%+d) = %+v, reference aligned %d, end (%d, %v), edges %v %v",
+						label, v, i, d, l, p.AlignedAhead(d), wantOff, wantOK, p.Edge(0, d), p.Edge(0, -d))
+				}
 			}
 			spec, ok := DetectStart(s)
-			wantSpec, wantOK := refDetectStart(s)
+			wantSpec, wantOK := refDetectStart(p)
 			if ok != wantOK || !reflect.DeepEqual(spec, wantSpec) {
 				t.Fatalf("%s: DetectStart(V=%d, i=%d) = (%+v, %v), reference (%+v, %v)\nchain: %v",
 					label, v, i, spec, ok, wantSpec, wantOK, c.Positions())
@@ -257,11 +350,12 @@ func FuzzPredicatesVsReference(f *testing.F) {
 		}
 		n := c.Len()
 		if v := 3 + int(extra)%20; n >= 4 {
+			ref := ringOf(c, nil)
 			for i := 0; i < n; i++ {
 				s := snapV(c, i, v)
 				for _, d := range [2]int{+1, -1} {
 					off, ok := EndpointAhead(s, d)
-					if wantOff, wantOK := refEndpointAhead(s, d); off != wantOff || ok != wantOK {
+					if wantOff, wantOK := refEndpointAhead(ref.view(i, v), d); off != wantOff || ok != wantOK {
 						t.Fatalf("EndpointAhead(V=%d, i=%d, d=%+d) = (%d, %v), reference (%d, %v)", v, i, d, off, ok, wantOff, wantOK)
 					}
 				}

@@ -36,8 +36,8 @@ var (
 // requirement of Definition 1 on the quasi line containing the observer).
 // ahead is the leading edge s.Edge(0, d). Exactly two edges are read: the
 // leading one must be an axis unit and the next one must repeat it.
-func alignedTriple(s *view.Snapshot, d int, ahead grid.Vec) bool {
-	return s.V() >= 2 && s.ChainLen() >= 3 && ahead.IsAxisUnit() && s.Edge(d, d) == ahead
+func alignedTriple(s *view.Snapshot, d int, ahead grid.EdgeCode) bool {
+	return s.V() >= 2 && s.ChainLen() >= 3 && ahead.IsUnit() && s.Edge(d, d) == ahead
 }
 
 // DetectStart checks the run start patterns of Fig 5 at the observing
@@ -63,15 +63,22 @@ func DetectStart(s *view.Snapshot) (StartSpec, bool) {
 	}
 	ePlus := s.Edge(0, +1)
 	eMinus := s.Edge(0, -1)
+	if !ePlus.Perp(eMinus) {
+		// Both patterns stand on a corner: the corner start's two lines
+		// meet there, and a stairway is entered through an edge
+		// perpendicular to the line (stairwayBehind). Most robots stand
+		// mid-segment and are done after two edge reads.
+		return StartSpec{}, false
+	}
 	aheadPlus := alignedTriple(s, +1, ePlus)
 	aheadMinus := alignedTriple(s, -1, eMinus)
 
 	// Corner start: straight >= 3 on both sides, perpendicular.
-	if aheadPlus && aheadMinus && ePlus.Perp(eMinus) {
+	if aheadPlus && aheadMinus {
 		return StartSpec{
 			Dirs: cornerDirs,
 			Kind: StartCorner,
-			Hop:  ePlus.Add(eMinus),
+			Hop:  ePlus.Vec().Add(eMinus.Vec()),
 		}, true
 	}
 
@@ -88,7 +95,7 @@ func DetectStart(s *view.Snapshot) (StartSpec, bool) {
 // stairwayBehind checks the rest of the Fig 5.(i) pattern once the quasi
 // line is known to extend straight in direction d along axis = s.Edge(0, d):
 // the stairway behind (-d), entered through b1 = s.Edge(0, -d).
-func stairwayBehind(s *view.Snapshot, d int, axis, b1 grid.Vec) bool {
+func stairwayBehind(s *view.Snapshot, d int, axis, b1 grid.EdgeCode) bool {
 	if !b1.Perp(axis) {
 		return false
 	}
@@ -110,6 +117,33 @@ func stairwayBehind(s *view.Snapshot, d int, axis, b1 grid.Vec) bool {
 // viewing range. When it does, endOffset is the chain offset of the last
 // robot still on the quasi line (the final corner); the caller combines
 // this with run visibility to evaluate termination condition 2 of Table 1.
+// It is scanLine without the run mask; see there for the parser.
+func EndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
+	var l lineScan
+	scanLine(s, d, min(s.V(), s.ChainLen()-1), 0, &l)
+	return l.end, l.endSeen
+}
+
+// lineScan is what one pass over the window in front of a run yields
+// (scanLine).
+type lineScan struct {
+	// end and endSeen are EndpointAhead's verdict: endSeen when the quasi
+	// line provably ends in view, end the offset of its last robot.
+	end     int
+	endSeen bool
+	// aligned is Snapshot.AlignedAhead(d): the length of the straight run
+	// of identical unit edges that starts at the observer.
+	aligned int
+	// lead and trail are the observer's edges in direction d and -d.
+	lead, trail grid.EdgeCode
+	// away and towards are the first offsets (times d) whose robot carries
+	// a run moving away from, or towards, the observer; 0 when none was
+	// read. Filled only when the pass reads the run mask.
+	away, towards int
+}
+
+// scanLine is the quasi-line parser, the one pass over the maxEdges edges
+// in front of the observer in direction d (maxEdges = min(V, n-1)).
 //
 // The parser accepts the structure of Definition 1, tolerant of where the
 // run currently stands (on a corner, mid-segment, or about to cross a jog):
@@ -119,30 +153,48 @@ func stairwayBehind(s *view.Snapshot, d int, axis, b1 grid.Vec) bool {
 // deviation (a perpendicular double edge, a straight group of one edge
 // strictly inside, a reversal or switchback) marks the endpoint.
 //
-// The edges are streamed, not buffered: each group is judged as soon as
-// its verdict is known (on its first edge, on a repeated jog edge, or when
-// it closes) and the scan stops at the first deviation. The cost is the
+// The edges are streamed through one view.Ray, checked once at its
+// farthest offset, not buffered: each group is judged as soon as its
+// verdict is known (on its first edge, on a repeated jog edge, or when it
+// closes) and the parse stops at the first deviation. The cost is the
 // length of the quasi line seen, whatever the viewing range, and the scan
 // allocates nothing — which keeps the unbounded-view pair walk
-// (pairStarts) as cheap as a robot's own look.
-func EndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
-	maxEdges := min(s.V(), s.ChainLen()-1)
+// (pairStarts) as cheap as a robot's own look. The first group is the
+// straight run AlignedAhead counts, so the count comes with the parse.
+//
+// runsTo > 0 makes the same pass read the run mask of every robot it
+// reaches, recording the first run moving away and the first moving
+// towards the observer, and read on past an early endpoint until offset
+// runsTo for the latter: the Table 1 probes and the passing trigger of a
+// run's decision (computeRunDecision), which never look farther than the
+// endpoint or that offset.
+func scanLine(s *view.Snapshot, d, maxEdges, runsTo int, l *lineScan) {
+	*l = lineScan{lead: s.Edge(0, d), trail: s.Edge(0, -d)}
 	if maxEdges < 2 {
-		return 0, false
+		// A two-robot chain: no quasi line to parse, one edge to read.
+		if maxEdges == 1 {
+			r := s.Ahead(d, 1)
+			if r.Next().IsUnit() {
+				l.aligned = 1
+			}
+			if runsTo > 0 {
+				l.noteRuns(&r, 1)
+			}
+		}
+		return
 	}
 	// Determine the line axis the run is travelling on, disambiguated by
 	// the trailing edge: mid-segment the leading and trailing edges are
 	// parallel; on a corner the leading edge opens the next segment; just
 	// before a jog the leading edge is the jog and the axis continues with
 	// the edge after it.
-	e1 := s.Edge(0, d)
+	e1, eT := l.lead, l.trail
 	e2 := s.Edge(d, d)
-	eT := s.Edge(0, -d)
 	axis := e1
 	if e1.Perp(eT) && e2 != e1 && e2.Parallel(eT) {
 		axis = e2 // standing before a jog: e1 is the jog edge
 	}
-	lineDir := grid.Vec{}
+	lineDir := grid.EdgeZero // unknown until a straight edge fixes it
 	if e1.Parallel(axis) {
 		lineDir = e1
 	} else if e2.Parallel(axis) {
@@ -154,24 +206,29 @@ func EndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
 	// perpendicular jog groups must be single edges between straight
 	// groups. The first confirmed deviation marks the quasi-line end;
 	// lastGood is the last robot of the last straight group judged sound.
+	r := s.Ahead(d, maxEdges)
+	read := 0 // robots whose run mask the pass has read
 	lastGood := 0
 	prevStraight := false
 	var (
-		dir      grid.Vec // edge of the open group
-		size     int      // its edge count
-		straight bool     // whether it lies on the line axis
-		at       grid.Vec // position of the robot the next edge leaves
+		dir      grid.EdgeCode // edge of the open group
+		size     int           // its edge count
+		straight bool          // whether it lies on the line axis
 	)
+scan:
 	for j := 0; j <= maxEdges; j++ {
-		var e grid.Vec
+		var e grid.EdgeCode
 		if j < maxEdges {
-			next := s.Rel((j + 1) * d)
-			e = next.Sub(at)
-			at = next
+			e = r.Next()
+			if runsTo > 0 {
+				read++
+				l.noteRuns(&r, read)
+			}
 			if j > 0 && e == dir {
 				size++
 				if !straight {
-					return lastGood, true // a perpendicular double edge
+					l.end, l.endSeen = lastGood, true // a perpendicular double edge
+					break scan
 				}
 				continue
 			}
@@ -179,11 +236,15 @@ func EndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
 		if j > 0 {
 			// The open group closes at robot j; it is the final group
 			// exactly when the horizon closed it (it may continue beyond).
+			if j == size && e1.IsUnit() {
+				l.aligned = size // the first group: the aligned run
+			}
 			if straight {
 				if size == 1 && j < maxEdges && j > 1 {
 					// A straight group of a single edge strictly inside the
 					// structure: a two-robot run, i.e. a stairway step.
-					return lastGood, true
+					l.end, l.endSeen = lastGood, true
+					break scan
 				}
 				lastGood = j
 			}
@@ -195,25 +256,43 @@ func EndpointAhead(s *view.Snapshot, d int) (endOffset int, ok bool) {
 		dir, size, straight = e, 1, e.Parallel(axis)
 		switch {
 		case straight:
-			if !lineDir.IsZero() && e != lineDir {
+			if lineDir != grid.EdgeZero && e != lineDir {
 				// Reversal or switchback: a merge shape, not a quasi line.
-				return lastGood, true
+				l.end, l.endSeen = lastGood, true
+				break scan
 			}
 			lineDir = e
 		case j > 0 && !prevStraight:
 			// Two jogs may not follow each other.
-			return lastGood, true
+			l.end, l.endSeen = lastGood, true
+			break scan
 		}
 	}
-	// No confirmed violation within view; the final (possibly truncated)
-	// group may continue beyond the horizon.
-	return 0, false
+	// With no confirmed violation within view the final (possibly
+	// truncated) group may continue beyond the horizon: endSeen stays
+	// false. An early endpoint leaves the passing trigger's offsets to
+	// read.
+	for read < runsTo && l.towards == 0 {
+		r.Next()
+		read++
+		l.noteRuns(&r, read)
+	}
 }
 
-// cornerAt reports whether the robot at the view's centre currently stands
-// on a corner with respect to travel direction d: its trailing edge is
-// perpendicular to its leading edge. Runner operations (a) and (b) act only
-// on corners.
-func cornerAt(s *view.Snapshot, d int) bool {
-	return s.Edge(0, -d).Perp(s.Edge(0, d))
+// noteRuns records the run states of the robot the ray stands at, offset
+// k, if they are the first of their kind the pass has met.
+func (l *lineScan) noteRuns(r *view.Ray, k int) {
+	away, towards := r.Runs()
+	if away && l.away == 0 {
+		l.away = k
+	}
+	if towards && l.towards == 0 {
+		l.towards = k
+	}
 }
+
+// cornerAt reports whether a robot with leading edge lead and trailing
+// edge trail, with respect to its travel direction, stands on a corner:
+// the two edges are perpendicular. Runner operations (a) and (b) act only
+// on corners.
+func cornerAt(lead, trail grid.EdgeCode) bool { return trail.Perp(lead) }

@@ -266,11 +266,35 @@ func TestEndpointAheadPureStairway(t *testing.T) {
 
 func TestCornerAt(t *testing.T) {
 	c := mustChain(t, squareRing(12)...)
-	corner0, corner12, mid := snap(c, 0), snap(c, 12), snap(c, 5)
-	if !cornerAt(corner0, +1) || !cornerAt(corner12, +1) {
+	at := func(i int) bool {
+		s := snap(c, i)
+		return cornerAt(s.Edge(0, +1), s.Edge(0, -1))
+	}
+	if !at(0) || !at(12) {
 		t.Error("ring corners not recognised")
 	}
-	if cornerAt(mid, +1) {
+	if at(5) {
 		t.Error("mid-side robot is not a corner")
+	}
+}
+
+// TestScanLineReadsPastEarlyEndpoint pins the part of the one-pass scan's
+// contract the engine never exercises: a quasi line can end within two
+// robots only at a reversal (a spike one robot ahead), where the run's
+// host is a merge white and terminates before it looks, yet scanLine
+// must still read the run mask on to the passing trigger's distance.
+func TestScanLineReadsPastEarlyEndpoint(t *testing.T) {
+	c := mustChain(t,
+		grid.V(0, 0), grid.V(1, 0), grid.V(0, 0), grid.V(-1, 0),
+		grid.V(-1, 1), grid.V(0, 1))
+	runs := make([]uint8, c.Len())
+	runs[3] = view.RunsMinus // moving towards robot 0
+	var s view.Snapshot
+	view.At(&s, c, 0, DefaultViewingPathLength, runs)
+	var l lineScan
+	scanLine(&s, +1, c.Len()-1, PassingTriggerDistance, &l)
+	want := lineScan{end: 1, endSeen: true, aligned: 1, lead: grid.EdgeEast, trail: grid.EdgeNorth, towards: 3}
+	if l != want {
+		t.Fatalf("scanLine = %+v, want %+v", l, want)
 	}
 }

@@ -84,22 +84,17 @@ func gatherCheckingRunMask(t testing.TB, c *chain.Chain, sc sched.Config, worker
 	return checked
 }
 
-// TestRunMaskMatchesRegistry holds the run mask to the registry lookup on
-// seeded paper gathers of squares, polyominoes, spirals, walks and
-// generate.FromBytes chains, under FSYNC and random:p=0.5 activation, at
-// one and four workers.
-func TestRunMaskMatchesRegistry(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	type input struct {
-		label string
-		c     *chain.Chain
-	}
-	var inputs []input
+// seededGathers returns the seeded inputs of the look-phase batteries:
+// squares, polyominoes, spirals, walks and generate.FromBytes chains.
+func seededGathers(t testing.TB, seed int64) []labeledChain {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var inputs []labeledChain
 	add := func(label string, c *chain.Chain, err error) {
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
-		inputs = append(inputs, input{label, c})
+		inputs = append(inputs, labeledChain{label, c})
 	}
 	for _, side := range []int{12, 40} {
 		c, err := generate.Rectangle(side, side)
@@ -123,10 +118,26 @@ func TestRunMaskMatchesRegistry(t *testing.T) {
 		c, err := generate.FromBytes(data)
 		add("bytes", c, err)
 	}
-	scheds := []sched.Config{{}, {Kind: sched.Random, P: 0.5, Seed: 7}}
+	return inputs
+}
+
+type labeledChain struct {
+	label string
+	c     *chain.Chain
+}
+
+// lookScheds are the activation models of the look-phase batteries: FSYNC
+// and a seeded random:p=0.5.
+var lookScheds = []sched.Config{{}, {Kind: sched.Random, P: 0.5, Seed: 7}}
+
+// TestRunMaskMatchesRegistry holds the run mask to the registry lookup on
+// seeded paper gathers of squares, polyominoes, spirals, walks and
+// generate.FromBytes chains, under FSYNC and random:p=0.5 activation, at
+// one and four workers.
+func TestRunMaskMatchesRegistry(t *testing.T) {
 	checked := 0
-	for _, in := range inputs {
-		for _, sc := range scheds {
+	for _, in := range seededGathers(t, 16) {
+		for _, sc := range lookScheds {
 			for _, workers := range []int{1, 4} {
 				label := in.label + "/" + sc.String()
 				checked += gatherCheckingRunMask(t, in.c.Clone(), sc, workers, 20*in.c.Len(), label)

@@ -51,6 +51,11 @@ func passBudgetFor(cfg Config) int { return 2 * cfg.ViewingPathLength }
 // *d, a slot of the calling worker's decisions buffer, and an is that
 // worker's anomaly counters (kernels.go): the rule itself only reads
 // shared round state, so chunks may evaluate it concurrently.
+//
+// Everything the rule reads of the window in front of the run — the
+// quasi-line endpoint, the first sequent and the first approaching run,
+// the aligned count — comes from one pass over at most V edge codes and
+// run-mask bytes (scanLine).
 func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan, an *Anomalies) {
 	// Clear the reused slot, then set the non-zero defaults: assigning a
 	// composite literal would build it in a temporary and copy it.
@@ -69,35 +74,34 @@ func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan
 		d.terminate, d.reason = true, TermHostRemoved
 		return
 	}
-	var s view.Snapshot
-	view.At(&s, a.ch, idx, a.cfg.ViewingPathLength, a.runMask)
 	dir := run.Dir
-	scanMax := min(a.cfg.ViewingPathLength, a.ch.Len()-1)
 
 	// Table 1.3 — the runner is part of a merge operation this round.
 	if plan.Participant(run.Host) {
 		d.terminate, d.reason = true, TermMerge
-		d.mergeRobot = a.patternOf(idx, run.Dir, plan)
+		d.mergeRobot = a.patternOf(idx, dir, plan)
 		return
 	}
 
-	// The visible end of the quasi line bounds both remaining checks: runs
-	// beyond it belong to other quasi lines.
-	endOff, endSeen := EndpointAhead(&s, dir)
+	var s view.Snapshot
+	view.At(&s, a.ch, idx, a.cfg.ViewingPathLength, a.runMask)
+	scanMax := min(a.cfg.ViewingPathLength, a.ch.Len()-1)
+	trigger := min(PassingTriggerDistance, scanMax)
+	var l lineScan
+	scanLine(&s, dir, scanMax, trigger, &l)
 
 	// Table 1.1 — a sequent (same-direction) run is visible in front on
 	// the same quasi line ("sequent" is the paper's term for pipelined
 	// runs on one line, §3.3; a co-directional run beyond the line's end
-	// is someone else's pipeline).
+	// is someone else's pipeline). The visible end of the quasi line
+	// bounds both run checks: runs beyond it belong to other quasi lines.
 	seqMax := scanMax
-	if endSeen {
-		seqMax = min(seqMax, endOff-1)
+	if l.endSeen {
+		seqMax = min(seqMax, l.end-1)
 	}
-	for j := 1; j <= seqMax; j++ {
-		if s.HasRunAway(j * dir) {
-			d.terminate, d.reason = true, TermSequentRun
-			return
-		}
+	if l.away != 0 && l.away <= seqMax {
+		d.terminate, d.reason = true, TermSequentRun
+		return
 	}
 
 	// Table 1.4 / 1.5 — the target corner of the current passing or
@@ -114,17 +118,9 @@ func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan
 	// Table 1.2 — the endpoint of the quasi line is visible in front, with
 	// no approaching run at or before it (an approaching run means a merge
 	// or a passing is imminent instead; see DESIGN.md §3.4).
-	if endSeen {
-		window := max(endOff, PassingTriggerDistance)
-		window = min(window, scanMax)
-		approaching := false
-		for j := 1; j <= window; j++ {
-			if s.HasRunTowards(j * dir) {
-				approaching = true
-				break
-			}
-		}
-		if !approaching {
+	if l.endSeen {
+		window := min(max(l.end, PassingTriggerDistance), scanMax)
+		if l.towards == 0 || l.towards > window {
 			d.terminate, d.reason = true, TermEndpoint
 			return
 		}
@@ -144,9 +140,9 @@ func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan
 
 	// Run passing trigger: an approaching run within distance 3 (checked
 	// before continuing operation (b)/(c) — passing interrupts them,
-	// Fig 14).
-	trigger := min(PassingTriggerDistance, scanMax)
-	for j := 1; j <= trigger; j++ {
+	// Fig 14). The pass found the first robot showing one; the registry
+	// names the run.
+	for j := l.towards; l.towards != 0 && j <= trigger; j++ {
 		partner := a.approachingRunAt(&s, j*dir, dir)
 		if partner == nil {
 			continue
@@ -180,18 +176,18 @@ func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan
 	}
 
 	// Normal mode: reshapement operations at a corner (Fig 11).
-	if !cornerAt(&s, dir) {
+	if !cornerAt(l.lead, l.trail) {
 		// A run should only stand mid-segment transiently; advance without
 		// hopping and let the structure ahead decide its fate.
 		an.NotOnCorner++
 		return
 	}
-	switch sa := s.AlignedAhead(dir); {
+	switch sa := l.aligned; {
 	case sa >= 3:
 		// Operation (a): the runner and at least the next three robots lie
 		// on a straight line — diagonal hop forward towards the trailing
 		// side, shortening the segment.
-		d.hop = s.Edge(0, dir).Add(s.Edge(0, -dir))
+		d.hop = l.lead.Vec().Add(l.trail.Vec())
 	case sa == 2:
 		// Operation (b): segment of exactly three robots ahead — traverse
 		// to the corner after the jog without reshaping (three moves,

@@ -326,12 +326,12 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	sc := &a.scratch
 	nh := a.ch.NumHandles()
 	n := a.ch.Len()
-	// Materialise the lazy ring caches (order and positions) before any
+	// Materialise the lazy ring caches (order and edge codes) before any
 	// fan-out: the look-phase kernels read them lock-free, so the
-	// mutations they hide (reindex, the first allocation of the position
-	// cache) must happen here, on the driver.
+	// mutations they hide (reindex, the first allocation of the edge
+	// codes) must happen here, on the driver.
 	a.ch.Handles()
-	a.ch.RingPos()
+	a.ch.EdgeCodes()
 
 	// ---- Look & compute -------------------------------------------------
 	// 1. Merge patterns (Fig 15 step 1). Participants suspend run

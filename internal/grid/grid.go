@@ -223,3 +223,82 @@ func (b Box) String() string {
 	}
 	return fmt.Sprintf("[%v..%v]", b.Min, b.Max)
 }
+
+// EdgeCode is the one-byte code of a chain edge: the displacement between
+// two chain neighbours, which is the zero vector or one of the four axis
+// units. Every other displacement maps to the single sentinel EdgeOther.
+// The look phase reads a chain as a string of these codes — a robot of the
+// paper sees its neighbours' relative positions, which are exactly the
+// unit steps between them — so the predicates it needs are bit operations
+// on one byte instead of arithmetic on two-word vectors.
+//
+// Layout: bit 2 marks an axis unit, bit 0 its vertical axis and bit 1 its
+// negative sign; the zero edge is 0 and EdgeOther has bit 2 clear, so it
+// is neither a unit nor parallel or perpendicular to anything. Two codes
+// are equal exactly when their chain edges are; all non-chain
+// displacements share EdgeOther, so equality carries no information
+// between two of them.
+type EdgeCode uint8
+
+// The five chain-edge codes and the sentinel.
+const (
+	EdgeZero  EdgeCode = 0
+	EdgeEast  EdgeCode = 4
+	EdgeNorth EdgeCode = 5
+	EdgeWest  EdgeCode = 6
+	EdgeSouth EdgeCode = 7
+	EdgeOther EdgeCode = 8
+)
+
+// edgeOfUnitBox codes the displacements with |x|, |y| <= 1, indexed by
+// (x+1)*3 + (y+1).
+var edgeOfUnitBox = [9]EdgeCode{
+	EdgeOther, EdgeWest, EdgeOther,
+	EdgeSouth, EdgeZero, EdgeNorth,
+	EdgeOther, EdgeEast, EdgeOther,
+}
+
+// EdgeOf returns the code of displacement v: its chain-edge code, or
+// EdgeOther when v is not a chain edge.
+func EdgeOf(v Vec) EdgeCode {
+	x, y := uint(v.X+1), uint(v.Y+1)
+	if x > 2 || y > 2 {
+		return EdgeOther
+	}
+	return edgeOfUnitBox[x*3+y]
+}
+
+// edgeVecs decodes the chain-edge codes (indices 1..3 are unused).
+var edgeVecs = [8]Vec{EdgeZero: Zero, EdgeEast: East, EdgeNorth: North, EdgeWest: West, EdgeSouth: South}
+
+// Vec returns the displacement of a chain-edge code. EdgeOther stands for
+// every non-chain displacement at once and has none; decoding it panics.
+func (c EdgeCode) Vec() Vec {
+	if c > EdgeSouth {
+		panic("grid: EdgeOther has no single displacement")
+	}
+	return edgeVecs[c]
+}
+
+// IsUnit reports whether c codes an axis unit (Vec.IsAxisUnit).
+func (c EdgeCode) IsUnit() bool { return c&4 != 0 }
+
+// Parallel reports whether c and e are axis units on the same axis, equal
+// or opposite (Vec.Parallel).
+func (c EdgeCode) Parallel(e EdgeCode) bool { return (c&e)>>2&^(c^e)&1 != 0 }
+
+// Perp reports whether c and e are axis units on different axes
+// (Vec.Perp).
+func (c EdgeCode) Perp(e EdgeCode) bool { return (c&e)>>2&(c^e)&1 != 0 }
+
+// Neg returns the code of the reversed edge: an axis unit flips its sign
+// bit, while the zero edge and EdgeOther are their own negation.
+func (c EdgeCode) Neg() EdgeCode { return c ^ (c>>1)&2 }
+
+// String renders the code as its displacement, or "other".
+func (c EdgeCode) String() string {
+	if c > EdgeSouth {
+		return "other"
+	}
+	return c.Vec().String()
+}

@@ -230,3 +230,67 @@ func TestTransformApplyQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEdgeCodeExhaustive checks the one-byte edge code against Vec's own
+// predicates over every displacement with |x|, |y| <= 2: the chain edges
+// round-trip, every other displacement codes to EdgeOther, and the unit,
+// parallel, perpendicular, negation and equality tests agree with Vec for
+// every pair.
+func TestEdgeCodeExhaustive(t *testing.T) {
+	var vs []Vec
+	for x := -2; x <= 2; x++ {
+		for y := -2; y <= 2; y++ {
+			vs = append(vs, V(x, y))
+		}
+	}
+	chainCodes := map[EdgeCode]Vec{}
+	for _, v := range vs {
+		c := EdgeOf(v)
+		if v.IsChainEdge() {
+			if c == EdgeOther {
+				t.Fatalf("chain edge %v coded as EdgeOther", v)
+			}
+			if got := c.Vec(); got != v {
+				t.Fatalf("EdgeOf(%v).Vec() = %v", v, got)
+			}
+			if prev, dup := chainCodes[c]; dup {
+				t.Fatalf("chain edges %v and %v share code %d", prev, v, c)
+			}
+			chainCodes[c] = v
+		} else if c != EdgeOther {
+			t.Fatalf("non-chain displacement %v coded as %d, not EdgeOther", v, c)
+		}
+		if c.IsUnit() != v.IsAxisUnit() {
+			t.Fatalf("IsUnit(%v) = %v, Vec says %v", v, c.IsUnit(), v.IsAxisUnit())
+		}
+		if got, want := c.Neg(), EdgeOf(v.Neg()); got != want {
+			t.Fatalf("Neg(%v) = %v, want %v", v, got, want)
+		}
+		for _, w := range vs {
+			e := EdgeOf(w)
+			if c.Parallel(e) != v.Parallel(w) {
+				t.Fatalf("Parallel(%v, %v) = %v, Vec says %v", v, w, c.Parallel(e), v.Parallel(w))
+			}
+			if c.Perp(e) != v.Perp(w) {
+				t.Fatalf("Perp(%v, %v) = %v, Vec says %v", v, w, c.Perp(e), v.Perp(w))
+			}
+			if (v.IsChainEdge() || w.IsChainEdge()) && (c == e) != (v == w) {
+				t.Fatalf("codes of %v and %v compare %v, vectors %v", v, w, c == e, v == w)
+			}
+		}
+	}
+	if len(chainCodes) != 5 {
+		t.Fatalf("%d distinct chain-edge codes, want 5", len(chainCodes))
+	}
+	for _, v := range []Vec{V(3, 0), V(0, -7), V(100, 100), V(-1<<40, 1)} {
+		if EdgeOf(v) != EdgeOther {
+			t.Fatalf("far displacement %v not coded as EdgeOther", v)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("decoding EdgeOther must panic: it has no single displacement")
+		}
+	}()
+	_ = EdgeOther.Vec()
+}

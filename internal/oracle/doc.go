@@ -19,13 +19,14 @@
 // the paper's per-robot geometric predicates (core.DetectStart,
 // core.EndpointAhead, view.Snapshot) through the same pure functions the
 // engine uses, over a view materialised from the model's own ring
-// (view.Over): positions, handles and a run mask the model builds each
-// round by scanning its own run list, so the engine's end-of-round mask
-// rebuild is checked, not shared. Those predicates are the reconstruction
+// (view.Over): edge codes the model computes from its own positions,
+// handles, and a run mask it builds by scanning its own run list, all
+// rebuilt each round, so the engine's incrementally maintained edge codes
+// and its end-of-round mask rebuild are checked, not shared. Those predicates are the reconstruction
 // of the paper's figures; transliterating them a second time would add no
 // checking power and plenty of false divergences, while every
 // optimisation-bearing layer (scratch reuse, seeded resolution, SoA
-// splicing, the ring caches and the run mask) is covered by a truly
+// splicing, the edge codes and the run mask) is covered by a truly
 // independent implementation.
 //
 // The model speaks the paper's round semantics only, so Options.Strategy

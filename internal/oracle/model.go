@@ -135,12 +135,14 @@ func (m *Model) RunStates() []RunState {
 }
 
 // snapshotView materialises the ring into the ring-indexed slices
-// view.Over expects: pos[i] and order[i] = handle (== id) of the robot at
-// ring index i, and runs the run-direction mask (nil until runMask fills
-// it). Rebuilt from scratch every round — full-rescan naivety is the
-// point.
+// view.Over expects: edges[i], the code of the edge from the robot at ring
+// index i to the next one, coded from the model's own positions;
+// order[i] = handle (== id) of the robot at ring index i; and runs, the
+// run-direction mask (nil until runMask fills it). Rebuilt from scratch
+// every round — full-rescan naivety is the point, and it keeps the
+// engine's incrementally maintained edge codes checked, not shared.
 type snapshotView struct {
-	pos   []grid.Vec
+	edges []grid.EdgeCode
 	order []chain.Handle
 	runs  []uint8
 }
@@ -148,7 +150,7 @@ type snapshotView struct {
 func (m *Model) materialise() snapshotView {
 	var sv snapshotView
 	for _, nd := range m.ring() {
-		sv.pos = append(sv.pos, nd.pos)
+		sv.edges = append(sv.edges, grid.EdgeOf(nd.next.pos.Sub(nd.pos)))
 		sv.order = append(sv.order, chain.Handle(nd.id))
 	}
 	return sv
@@ -175,7 +177,7 @@ func (m *Model) runMask() []uint8 {
 // length v.
 func (m *Model) viewAt(sv snapshotView, i, v int) *view.Snapshot {
 	s := new(view.Snapshot)
-	view.Over(s, sv.pos, sv.order, i, v, sv.runs)
+	view.Over(s, sv.edges, sv.order, i, v, sv.runs)
 	return s
 }
 
@@ -490,7 +492,7 @@ func (m *Model) decideRun(sv snapshotView, run *mrun, plan mergePlan) mdecision 
 	}
 	switch sa := s.AlignedAhead(dir); {
 	case sa >= 3:
-		d.hop = s.Edge(0, dir).Add(s.Edge(0, -dir))
+		d.hop = s.Edge(0, dir).Vec().Add(s.Edge(0, -dir).Vec())
 	case sa == 2:
 		d.newMode = core.ModeTraverse
 		d.newTraverseLeft = core.OpBTraverse - 1

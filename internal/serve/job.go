@@ -16,11 +16,12 @@ import (
 )
 
 // ErrBadJob rejects a job specification that cannot name a simulation:
-// no scenario at all, both scenario forms at once, or generator inputs
-// the generate package refuses. Option-level problems (bad config, bad
-// scheduler, the E11 livelock rejection) surface as the sim package's own
-// typed errors instead, so clients can tell "your shape is wrong" from
-// "your parameters are wrong".
+// no scenario at all, both scenario forms at once, a shape Size above
+// MaxJobSize, or generator inputs the generate package refuses.
+// Option-level problems (bad config, bad scheduler, the E11 livelock
+// rejection) surface as the sim package's own typed errors instead, so
+// clients can tell "your shape is wrong" from "your parameters are
+// wrong".
 var ErrBadJob = errors.New("serve: invalid job specification")
 
 // JobSpec is the wire form of one simulation job. Exactly one of the two
@@ -39,10 +40,11 @@ type JobSpec struct {
 	// share a cache slot.
 	Scenario []byte `json:"scenario,omitempty"`
 	// Shape selects a structured generator family (generate.Names) with
-	// target chain size Size; Seed drives the stochastic families. The
-	// cache key is computed from the generated chain, not these fields,
-	// so a seed change misses exactly when it changes the chain — and a
-	// deterministic family hits regardless of seed.
+	// target chain size Size, at most MaxJobSize; Seed drives the
+	// stochastic families. The cache key is computed from the generated
+	// chain, not these fields, so a seed change misses exactly when it
+	// changes the chain — and a deterministic family hits regardless of
+	// seed.
 	Shape string `json:"shape,omitempty"`
 	Size  int    `json:"size,omitempty"`
 	Seed  int64  `json:"seed,omitempty"`
@@ -66,6 +68,12 @@ type JobSpec struct {
 	// price of a conservative miss.
 	Workers int `json:"workers,omitempty"`
 }
+
+// MaxJobSize caps the chain size a job may ask for: the scenario-bytes
+// form decodes at most generate.MaxFromBytesSteps edges, and a shape's
+// Size is held to the same bound before anything is generated, so one
+// small request cannot make the server build a chain of any size.
+const MaxJobSize = generate.MaxFromBytesSteps
 
 // options lifts the spec's parameter fields into engine options. Runtime
 // knobs the server owns (wall-clock caps, the cancellation context) are
@@ -99,6 +107,9 @@ func (s JobSpec) build() (*chain.Chain, sim.Options, error) {
 	case len(s.Scenario) > 0:
 		ch, err = generate.FromBytes(s.Scenario)
 	case s.Shape != "":
+		if s.Size > MaxJobSize {
+			return nil, sim.Options{}, fmt.Errorf("%w: size %d above the cap of %d robots", ErrBadJob, s.Size, MaxJobSize)
+		}
 		ch, err = generate.Named(s.Shape, s.Size, rand.New(rand.NewSource(s.Seed)))
 	default:
 		return nil, sim.Options{}, fmt.Errorf("%w: job needs scenario bytes or a shape", ErrBadJob)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -874,6 +875,38 @@ func TestBodyDigestSkipsRejectedBodies(t *testing.T) {
 	s.mu.Unlock()
 	if st := getStats(t, ts); indexed != 0 || st.Submitted != 0 || st.BodyHits != 0 || st.Entries != 0 {
 		t.Fatalf("rejected bodies left state behind: %d digests, stats %+v", indexed, st)
+	}
+}
+
+// TestJobSizeCap pins the chain-size cap of the shape form: a Size at
+// MaxJobSize builds, one above it answers 400 with ErrBadJob before any
+// chain is generated and admits nothing, for a deterministic and a seeded
+// family.
+func TestJobSizeCap(t *testing.T) {
+	for _, shape := range []string{"rectangle", "polyomino"} {
+		at := JobSpec{Shape: shape, Size: MaxJobSize, Seed: 3}
+		if _, err := CacheKey(at); err != nil {
+			t.Fatalf("%s at the cap: %v", shape, err)
+		}
+		above := JobSpec{Shape: shape, Size: MaxJobSize + 1, Seed: 3}
+		if _, err := CacheKey(above); !errors.Is(err, ErrBadJob) {
+			t.Fatalf("%s one above the cap: err %v, want ErrBadJob", shape, err)
+		}
+	}
+	_, ts := newTestServer(t, Config{Workers: 1})
+	for _, body := range []string{
+		fmt.Sprintf(`{"shape":"rectangle","size":%d}`, MaxJobSize+1),
+		fmt.Sprintf(`{"shape":"polyomino","size":%d,"seed":3}`, MaxJobSize+1),
+		`{"shape":"polyomino","size":100000}`,
+		`{"shape":"rectangle","size":2000000000}`,
+	} {
+		code, raw := postRaw(t, ts, "/jobs", []byte(body))
+		if code != http.StatusBadRequest || !bytes.Contains(raw, []byte(ErrBadJob.Error())) {
+			t.Fatalf("%s: status %d: %s, want 400 naming ErrBadJob", body, code, raw)
+		}
+	}
+	if st := getStats(t, ts); st.Submitted != 0 || st.Entries != 0 {
+		t.Fatalf("oversize chains admitted something: %+v", st)
 	}
 }
 

@@ -31,19 +31,22 @@ func RunBit(dir int) uint8 {
 // -V..+V relative to itself. Offsets wrap around the closed chain, so on a
 // short chain the same robot can appear at several offsets, exactly as a
 // robot with local vision would perceive it.
+//
+// The view holds no positions: the chain is read as its string of edge
+// codes (grid.EdgeCode), the unit steps between neighbours, from which
+// every relative position follows.
 type Snapshot struct {
-	// ring, order and runs alias ring-indexed arrays (chain.RingPos,
+	// edges, order and runs alias ring-indexed arrays (chain.EdgeCodes,
 	// chain.Handles and the caller's run mask): a window access is one
 	// array load with no indirection through handles. Snapshots are
 	// look-phase values — the aliases are valid until the chain splices,
 	// which only happens after all views are consumed.
-	ring      []grid.Vec
-	order     []chain.Handle
-	runs      []uint8
-	center    int
-	centerPos grid.Vec
-	v         int
-	n         int
+	edges  []grid.EdgeCode
+	order  []chain.Handle
+	runs   []uint8
+	center int
+	v      int
+	n      int
 	// wraps records whether the window [center-v, center+v] crosses the
 	// ends of the ring; when it does not, an offset maps to its ring index
 	// by one addition.
@@ -53,26 +56,27 @@ type Snapshot struct {
 // At fills s with the view of the robot at index center with viewing path
 // length v. runs is the ring-indexed run mask (nil when run states are
 // irrelevant). The chain's ring caches must be materialised before views
-// are taken concurrently (chain.RingPos).
+// are taken concurrently (chain.EdgeCodes).
 func At(s *Snapshot, ch *chain.Chain, center, v int, runs []uint8) {
-	Over(s, ch.RingPos(), ch.Handles(), center, v, runs)
+	Over(s, ch.EdgeCodes(), ch.Handles(), center, v, runs)
 }
 
 // Over fills s directly over ring-indexed slices, without a *chain.Chain
 // behind them: the one snapshot constructor, which At wraps for the
 // engine's chain and which alternate chain backends call directly — the
-// conformance oracle's naive model (internal/oracle) materialises its
-// pointer ring into plain slices each round and evaluates the same pure
+// conformance oracle's naive model (internal/oracle) codes its pointer
+// ring's edges into a plain slice each round and evaluates the same pure
 // decision predicates the engine uses, so engine and model cannot drift
-// apart at the rule level. ring[i] is the position and order[i] the handle
-// of the robot at cyclic index i; runs is nil or covers every index.
-func Over(s *Snapshot, ring []grid.Vec, order []chain.Handle, center, v int, runs []uint8) {
+// apart at the rule level. edges[i] is the code of the edge from the
+// robot at cyclic index i to the one at i+1, order[i] the handle at i;
+// runs is nil or covers every index.
+func Over(s *Snapshot, edges []grid.EdgeCode, order []chain.Handle, center, v int, runs []uint8) {
 	// Field by field: a composite literal would be built in a temporary
 	// and copied, a cost paid once per run per round.
 	n := len(order)
 	center = chain.WrapIndex(center, n)
-	s.ring, s.order, s.runs = ring, order, runs
-	s.center, s.centerPos = center, ring[center]
+	s.edges, s.order, s.runs = edges, order, runs
+	s.center = center
 	s.v, s.n = v, n
 	s.wraps = center-v < 0 || center+v >= n
 }
@@ -97,20 +101,32 @@ func (s *Snapshot) check(k int) {
 	}
 }
 
-// Rel returns the position of the robot at chain offset k relative to the
-// observing robot. Rel(0) is always the zero vector.
-func (s *Snapshot) Rel(k int) grid.Vec {
-	s.check(k)
-	return s.ring[s.idx(k)].Sub(s.centerPos)
-}
-
-// Edge returns the displacement from the robot at offset k to the robot at
-// offset k+sign(step towards)… specifically Edge(k, d) = Rel(k+d) - Rel(k)
-// for d = +-1: the chain edge leaving offset k in direction d.
-func (s *Snapshot) Edge(k, d int) grid.Vec {
+// Edge returns the code of the chain edge leaving the robot at offset k in
+// direction d (+1 or -1): the displacement Rel(k+d) - Rel(k). Both robots
+// must be in view.
+func (s *Snapshot) Edge(k, d int) grid.EdgeCode {
 	s.check(k + d)
 	s.check(k)
-	return s.ring[s.idx(k+d)].Sub(s.ring[s.idx(k)])
+	if d > 0 {
+		return s.edges[s.idx(k)]
+	}
+	return s.edges[s.idx(k-1)].Neg()
+}
+
+// Rel returns the position of the robot at chain offset k relative to the
+// observing robot: the sum of the edges between them. Rel(0) is always
+// the zero vector. It costs |k| edge reads; the predicates compare edges
+// instead.
+func (s *Snapshot) Rel(k int) grid.Vec {
+	s.check(k)
+	var p grid.Vec
+	for j := 0; j < k; j++ {
+		p = p.Add(s.edges[s.idx(j)].Vec())
+	}
+	for j := 0; j > k; j-- {
+		p = p.Sub(s.edges[s.idx(j-1)].Vec())
+	}
+	return p
 }
 
 // HasRunTowards reports whether the robot at offset k carries a run whose
@@ -161,21 +177,77 @@ func (s *Snapshot) AlignedAhead(d int) int {
 	if maxScan < 1 {
 		return 0
 	}
-	cur := s.ring[s.idx(d)]
-	first := cur.Sub(s.centerPos)
-	if !first.IsAxisUnit() {
+	r := s.Ahead(d, maxScan)
+	first := r.Next()
+	if !first.IsUnit() {
 		return 0
 	}
 	count := 1
-	for j := 2; j <= maxScan; j++ {
-		next := s.ring[s.idx(j*d)]
-		if next.Sub(cur) != first {
-			break
-		}
-		cur = next
+	for count < maxScan && r.Next() == first {
 		count++
 	}
 	return count
+}
+
+// Ray is a cursor over the window in front of the observer in one chain
+// direction, opened by Snapshot.Ahead: it yields the edges leaving the
+// robots at offsets 0, d, 2d, … one by one, each oriented along d, and
+// reads the run mask of the robot the last edge arrived at. Its whole
+// range is checked against the viewing path length once, at its farthest
+// offset, when it is opened; reading past that range panics like any
+// other non-local access. A Ray reads the ring arrays in place, so a
+// predicate that walks a window pays one load per edge and no call.
+type Ray struct {
+	edges []grid.EdgeCode
+	runs  []uint8
+	at    int // ring index of the robot the cursor stands at
+	left  int // edges still in the checked range
+	fwd   bool
+	away  uint8 // mask bit of a run moving away from the observer
+}
+
+// Ahead opens a Ray over the k edges in front of the observer in chain
+// direction d (+1 or -1): the robots at offsets d, 2d, …, kd must all be
+// in view.
+func (s *Snapshot) Ahead(d, k int) Ray {
+	s.check(k * d)
+	return Ray{edges: s.edges, runs: s.runs, at: s.center, left: k, fwd: d > 0, away: RunBit(d)}
+}
+
+// Next returns the code of the edge leaving the robot the cursor stands
+// at, oriented along the ray, and moves the cursor to the robot it
+// arrives at.
+func (r *Ray) Next() grid.EdgeCode {
+	if r.left == 0 {
+		panic("view: ray read past its checked offset (non-local rule)")
+	}
+	r.left--
+	i := r.at
+	if r.fwd {
+		c := r.edges[i]
+		if i++; i == len(r.edges) {
+			i = 0
+		}
+		r.at = i
+		return c
+	}
+	if i == 0 {
+		i = len(r.edges)
+	}
+	i--
+	r.at = i
+	return r.edges[i].Neg()
+}
+
+// Runs reports the run states of the robot the cursor stands at: whether
+// it carries a run moving away from the observer, and one moving towards
+// it (HasRunAway and HasRunTowards at its offset).
+func (r *Ray) Runs() (away, towards bool) {
+	if r.runs == nil {
+		return false, false
+	}
+	m := r.runs[r.at]
+	return m&r.away != 0, m&^r.away != 0
 }
 
 func sign(k int) int {

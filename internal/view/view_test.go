@@ -78,14 +78,14 @@ func TestLocalityEnforcedNegative(t *testing.T) {
 func TestEdge(t *testing.T) {
 	c := ring(t, 6, 4)
 	s := at(c, 0, 11, nil)
-	if got := s.Edge(0, +1); got != grid.East {
+	if got := s.Edge(0, +1); got != grid.EdgeEast {
 		t.Errorf("Edge(0,+1) = %v", got)
 	}
-	if got := s.Edge(0, -1); got != grid.North {
+	if got := s.Edge(0, -1); got != grid.EdgeNorth {
 		// Robot before (0,0) on the ring is (0,1).
 		t.Errorf("Edge(0,-1) = %v", got)
 	}
-	if got := s.Edge(2, 1); got != grid.East {
+	if got := s.Edge(2, 1); got != grid.EdgeEast {
 		t.Errorf("Edge(2,1) = %v", got)
 	}
 }
@@ -179,7 +179,9 @@ func TestNilRunMask(t *testing.T) {
 // TestSnapshotAccessorsMatchNaive checks every accessor at every centre
 // and offset against the naive lookup pos[order[wrap(center+k)]]: windows
 // that stay inside the ring, windows that wrap, chains shorter than the
-// 2V+1 window, and the n-1 view of the start-pair walk.
+// 2V+1 window, and the n-1 view of the start-pair walk. Rays are checked
+// the same way, opened at every length the view allows in both
+// directions.
 func TestSnapshotAccessorsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dims := range [][2]int{{1, 1}, {2, 1}, {3, 2}, {6, 4}, {10, 10}, {25, 3}} {
@@ -221,12 +223,54 @@ func TestSnapshotAccessorsMatchNaive(t *testing.T) {
 						if k+d < -v || k+d > v {
 							continue
 						}
-						if got, want := s.Edge(k, d), pos(center+k+d).Sub(pos(center+k)); got != want {
+						if got, want := s.Edge(k, d), grid.EdgeOf(pos(center+k+d).Sub(pos(center+k))); got != want {
 							t.Fatalf("n=%d v=%d centre %d: Edge(%d, %+d) = %v, naive %v", n, v, center, k, d, got, want)
+						}
+					}
+				}
+				for _, d := range [2]int{+1, -1} {
+					for k := 1; k <= v; k++ {
+						r := s.Ahead(d, k)
+						for j := 1; j <= k; j++ {
+							want := grid.EdgeOf(pos(center + j*d).Sub(pos(center + (j-1)*d)))
+							if got := r.Next(); got != want {
+								t.Fatalf("n=%d v=%d centre %d: ray %+d edge %d = %v, naive %v", n, v, center, d, j, got, want)
+							}
+							away, towards := r.Runs()
+							if away != s.HasRunAway(j*d) || towards != s.HasRunTowards(j*d) {
+								t.Fatalf("n=%d v=%d centre %d: ray %+d runs at %d read (%v, %v), snapshot (%v, %v)",
+									n, v, center, d, j, away, towards, s.HasRunAway(j*d), s.HasRunTowards(j*d))
+							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestRayLocality pins the ray's one locality check: opening a ray past
+// the viewing path length panics, and so does reading past the offset it
+// was opened for, in both directions.
+func TestRayLocality(t *testing.T) {
+	c := ring(t, 10, 10)
+	s := at(c, 0, 11, nil)
+	mustPanic := func(label string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s must panic (non-local rule)", label)
+			}
+		}()
+		f()
+	}
+	mustPanic("opening a ray beyond V", func() { s.Ahead(+1, 12) })
+	mustPanic("opening a backward ray beyond V", func() { s.Ahead(-1, 12) })
+	for _, d := range [2]int{+1, -1} {
+		r := s.Ahead(d, 3)
+		for j := 0; j < 3; j++ {
+			r.Next()
+		}
+		mustPanic("reading past the checked offset", func() { r.Next() })
 	}
 }
