@@ -55,42 +55,6 @@ func TestStepAllocsRegression(t *testing.T) {
 	}
 }
 
-// TestStepAllocsRegressionWorkers is the same tripwire on the chunked
-// driver (Workers = 4): the per-worker kernel buffers and the pool
-// dispatch must reuse their storage exactly like the sequential path, so
-// the bound is the same. Goroutine hand-off itself allocates nothing
-// (parallel.Pool's task structs travel by value through a channel).
-func TestStepAllocsRegressionWorkers(t *testing.T) {
-	ch, err := gridgather.Rectangle(128, 128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	cfg.Workers = 4
-	alg, err := core.New(ch, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 60; i++ {
-		if _, err := alg.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const rounds = 200
-	avg := testing.AllocsPerRun(rounds, func() {
-		if alg.Gathered() {
-			t.Fatal("chain gathered mid-measurement; enlarge the workload")
-		}
-		if _, err := alg.Step(); err != nil {
-			t.Fatal(err)
-		}
-	})
-	const maxAllocsPerRound = 8.0
-	if avg > maxAllocsPerRound {
-		t.Errorf("chunked Algorithm.Step allocates %.1f objects/round on average, want <= %.1f", avg, maxAllocsPerRound)
-	}
-}
-
 // TestStartRoundBytesRegression bounds the bytes a run-start round
 // allocates, measured with runtime.MemStats.TotalAlloc around sim's
 // Engine.Step on the seeded n ≈ 4100 polyomino the gather benchmark runs
@@ -107,7 +71,7 @@ func TestStartRoundBytesRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := sim.NewEngine(ch, sim.Options{Workers: 1})
+	e, err := sim.NewEngine(ch, sim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

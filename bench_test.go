@@ -60,12 +60,6 @@ func BenchmarkTheorem1GatherSquare(b *testing.B) {
 		})
 	}
 	b.Run("n=4096", benchdefs.GatherSquare4096)
-	// The chunked phase-kernel driver (DESIGN.md §9) at pinned worker
-	// counts: the observable run is byte-identical across them (the golden
-	// Workers battery asserts it), so only the timing columns may move.
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("n=4096/workers=%d", workers), benchdefs.GatherSquareWorkers4096(workers))
-	}
 	b.Run("n=65536", benchdefs.GatherSquare65536)
 }
 
@@ -91,7 +85,7 @@ func BenchmarkLinTimeGatherSquare(b *testing.B) {
 }
 
 // BenchmarkKernelMergeScan / BenchmarkKernelDecide /
-// BenchmarkKernelStartScan — the look-phase kernels of the chunked driver
+// BenchmarkKernelStartScan — the look-phase kernels of the round driver
 // (DESIGN.md §9) in isolation, full-range, on 4096-robot workloads; the
 // bench trajectory pins the same bodies (internal/benchdefs).
 func BenchmarkKernelMergeScan(b *testing.B) {

@@ -30,9 +30,6 @@ func pinnedBenchmarks(label string) (*benchio.Report, error) {
 	}{
 		{"Theorem1GatherSquare/n=512", benchdefs.GatherSquare512},
 		{"Theorem1GatherSquare/n=4096", benchdefs.GatherSquare4096},
-		{"Theorem1GatherSquare/n=4096/workers=1", benchdefs.GatherSquareWorkers4096(1)},
-		{"Theorem1GatherSquare/n=4096/workers=4", benchdefs.GatherSquareWorkers4096(4)},
-		{"Theorem1GatherSquare/n=4096/workers=8", benchdefs.GatherSquareWorkers4096(8)},
 		{"Theorem1GatherSquare/n=65536", benchdefs.GatherSquare65536},
 		{"LinTimeGatherSquare/n=4096", benchdefs.LinTimeGatherSquare4096},
 		{"StepSquare/n=512", benchdefs.StepSquare512},

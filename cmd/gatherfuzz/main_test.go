@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"gridgather/internal/core"
@@ -13,6 +17,9 @@ import (
 // TestResumeBundleReplaysCleanScenario pins the -resume happy path: a
 // bundle holding a healthy scenario replays through the conformance check
 // and exits 0 (the recorded divergence — here none — does not reproduce).
+// It runs on a bundle as it was written while the engine had a worker
+// count, with a "workers" key beside the config and Config.Workers set,
+// and on one written today.
 func TestResumeBundleReplaysCleanScenario(t *testing.T) {
 	ch, err := generate.Spiral(4)
 	if err != nil {
@@ -20,21 +27,52 @@ func TestResumeBundleReplaysCleanScenario(t *testing.T) {
 	}
 	cfg := core.DefaultConfig()
 	cfg.Workers = 4
-	path := filepath.Join(t.TempDir(), "clean.bundle")
 	b := &sim.Bundle{
 		Label:    "scenario 7 (test)",
 		Scenario: ch,
 		Config:   cfg,
 		Strategy: core.StrategyPaper,
-		Workers:  4,
 		Round:    -1,
 	}
-	if err := sim.WriteBundle(path, b); err != nil {
+	dir := t.TempDir()
+	current := filepath.Join(dir, "clean.bundle")
+	if err := sim.WriteBundle(current, b); err != nil {
 		t.Fatal(err)
 	}
-	if code := resumeBundle(path); code != 0 {
-		t.Fatalf("resumeBundle(%s) = %d, want 0", path, code)
+	legacy := filepath.Join(dir, "legacy.bundle")
+	if err := os.WriteFile(legacy, legacyBundle(t, b, 4), 0o644); err != nil {
+		t.Fatal(err)
 	}
+	for _, path := range []string{current, legacy} {
+		if code := resumeBundle(path); code != 0 {
+			t.Fatalf("resumeBundle(%s) = %d, want 0", path, code)
+		}
+	}
+}
+
+// legacyBundle encodes b the way a build with an engine worker count did:
+// the payload carries "workers" between "maxRounds" and "round", sealed in
+// the same checksummed envelope.
+func legacyBundle(t *testing.T, b *sim.Bundle, workers int) []byte {
+	t.Helper()
+	raw, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(raw, []byte(`,"round":`), []byte(`,"workers":`+strconv.Itoa(workers)+`,"round":`), 1)
+	if bytes.Equal(old, raw) {
+		t.Fatal("bundle payload has no round field to anchor the workers key")
+	}
+	env, err := json.Marshal(struct {
+		Artifact string          `json:"artifact"`
+		Version  int             `json:"version"`
+		Checksum uint32          `json:"checksum"`
+		Payload  json.RawMessage `json:"payload"`
+	}{"gridgather-bundle", sim.BundleVersion, crc32.ChecksumIEEE(old), old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
 }
 
 // TestResumeBundleRejectsBadFiles pins the -resume error path: a missing

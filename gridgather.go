@@ -176,8 +176,8 @@ type (
 	// byte (Engine.Checkpoint / Restore / Encode / DecodeCheckpoint).
 	Checkpoint = sim.Checkpoint
 	// Bundle is a portable failure report: the failing scenario (chain,
-	// configuration, scheduler, strategy, workers) in one checksummed
-	// file, replayable via gatherfuzz -resume.
+	// configuration, scheduler, strategy) in one checksummed file,
+	// replayable via gatherfuzz -resume.
 	Bundle = sim.Bundle
 	// PanicError is a strategy panic contained by the engine: the failing
 	// round plus the recovered value and stack. The engine stays poisoned
@@ -208,7 +208,7 @@ var (
 
 // Restore rebuilds a paused engine from a checkpoint. Semantic parameters
 // (algorithm config, scheduler, strategy, round/RNG state) come from the
-// checkpoint; runtime knobs (Workers, CheckInvariants, Observer, Deadline,
+// checkpoint; runtime knobs (CheckInvariants, Observer, Deadline,
 // MaxWallTime) from opts. Invalid checkpoints fail with
 // ErrCheckpointCorrupt.
 func Restore(cp *Checkpoint, opts Options) (*Engine, error) { return sim.Restore(cp, opts) }

@@ -2,7 +2,6 @@ package benchdefs
 
 import (
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"gridgather/internal/chain"
@@ -21,22 +20,7 @@ const PinnedHarnessWorkers = 4
 // full gathering run on the 512-robot square, cloning the reference chain
 // per iteration. Reports the gathering rounds as a metric.
 func GatherSquare512(b *testing.B) {
-	ref, err := generate.Rectangle(128, 128) // boundary of 4*128 = 512 robots
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rounds int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Gather(ref.Clone(), sim.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = res.Rounds
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rounds), "rounds")
+	gatherSquare(b, 128, core.StrategyPaper)
 }
 
 // StepSquare512 measures the steady-state per-round cost of
@@ -76,24 +60,14 @@ func StepSquare512(b *testing.B) {
 // impractically slow to pin; with flat handle storage, O(1) splices and
 // the incremental bounding box it joins the committed trajectory.
 func GatherSquare4096(b *testing.B) {
-	gatherSquare(b, 1024, 0)
+	gatherSquare(b, 1024, core.StrategyPaper)
 }
 
-// GatherSquareWorkers4096 returns the n=4096 gathering benchmark pinned at
-// an explicit chunked-driver worker count (core.Config.Workers via
-// sim.Options, DESIGN.md §9). The trajectory records workers 1, 4 and 8;
-// the observable run is byte-identical across them, so only the timing
-// columns may differ.
-func GatherSquareWorkers4096(workers int) func(*testing.B) {
-	return func(b *testing.B) { gatherSquare(b, 1024, workers) }
-}
-
-// GatherSquare65536 is the scaling headline of the chunked phase-kernel
-// driver: the full gathering run on a 65536-robot square with one worker
-// per CPU. On a single-core machine it degenerates to the sequential
-// driver (the recorded trajectory notes the core count it ran on).
+// GatherSquare65536 is the large-n headline: the full gathering run on a
+// 65536-robot square, every round on one goroutine like every other
+// engine run.
 func GatherSquare65536(b *testing.B) {
-	gatherSquare(b, 16384, runtime.NumCPU())
+	gatherSquare(b, 16384, core.StrategyPaper)
 }
 
 // LinTimeGatherSquare4096 is the strategy arena's wall-clock axis
@@ -103,29 +77,14 @@ func GatherSquare65536(b *testing.B) {
 // its paper counterpart and the per-round allocation discipline (the
 // contraction's scratch reuse must hold the same zero-steady-state bar).
 func LinTimeGatherSquare4096(b *testing.B) {
-	ref, err := generate.Rectangle(1024, 1024)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var rounds int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Gather(ref.Clone(), sim.Options{Strategy: core.StrategyLinTime})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rounds = res.Rounds
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rounds), "rounds")
+	gatherSquare(b, 1024, core.StrategyLinTime)
 }
 
 // gatherSquare is the shared body of the square-gather benchmarks: a full
-// run on the boundary of a side x side square (4*side robots), cloning the
-// reference chain per iteration, at the given chunked-driver worker count
-// (0 = the sequential default).
-func gatherSquare(b *testing.B, side, workers int) {
+// run of the strategy on the boundary of a side x side square (4*side
+// robots), cloning the reference chain per iteration. Reports the
+// gathering rounds as a metric.
+func gatherSquare(b *testing.B, side int, strat core.StrategyName) {
 	ref, err := generate.Rectangle(side, side)
 	if err != nil {
 		b.Fatal(err)
@@ -134,7 +93,7 @@ func gatherSquare(b *testing.B, side, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Gather(ref.Clone(), sim.Options{Workers: workers})
+		res, err := sim.Gather(ref.Clone(), sim.Options{Strategy: strat})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -160,7 +119,7 @@ func KernelMergeScan4096(b *testing.B) {
 		b.Fatal(err)
 	}
 	n := alg.Chain().Len()
-	alg.Chain().Handles() // materialise the ring caches, as the driver would
+	alg.Chain().Handles() // build the ring caches outside the timed loop
 	alg.Chain().EdgeCodes()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -269,7 +269,7 @@ func (c *Chain) Handles() []Handle {
 // shared and valid until the next splice; callers must not mutate it. It
 // is allocated on the first call only — strategies that never look
 // through a view never pay for it — and like Handles the call may rebuild
-// the cache, so concurrent readers need it materialised first.
+// the cache, so it is not safe for concurrent use.
 func (c *Chain) EdgeCodes() []grid.EdgeCode {
 	if c.edges == nil {
 		c.edges = make([]grid.EdgeCode, c.n)

@@ -12,9 +12,7 @@ import (
 // TestEdgeCodesNotAllocatedByLinTime pins the lazy allocation of the
 // edge-code cache: lintime never looks through a view, so a whole lintime
 // gather must leave the cache unallocated, while a paper gather of the
-// same chain allocates it. The gathers run at four workers, so under
-// -race the look kernels read the cache the driver built lazily from
-// several goroutines.
+// same chain allocates it.
 func TestEdgeCodesNotAllocatedByLinTime(t *testing.T) {
 	ref, err := generate.Rectangle(64, 64)
 	if err != nil {
@@ -25,7 +23,7 @@ func TestEdgeCodesNotAllocatedByLinTime(t *testing.T) {
 		want     bool
 	}{{core.StrategyLinTime, false}, {core.StrategyPaper, true}} {
 		ch := ref.Clone()
-		res, err := sim.Gather(ch, sim.Options{Strategy: tc.strategy, Workers: 4})
+		res, err := sim.Gather(ch, sim.Options{Strategy: tc.strategy})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.strategy, err)
 		}

@@ -32,10 +32,8 @@ type Scenario struct {
 	// CheckpointRound, when positive, pushes the strategy through the
 	// checkpoint codec mid-check (oracle.Options.CheckpointRound).
 	CheckpointRound int
-	// Workers is the phase-kernel worker count; Sched the activation
-	// model.
-	Workers int
-	Sched   sched.Config
+	// Sched is the activation model.
+	Sched sched.Config
 }
 
 // RunOracle runs the scenario through the conformance oracle with its
@@ -47,11 +45,7 @@ func RunOracle(s Scenario) error {
 	if err != nil {
 		return fmt.Errorf("chaos: build %s: %w", s.Name, err)
 	}
-	cfg := core.DefaultConfig()
-	if s.Workers > 0 {
-		cfg.Workers = s.Workers
-	}
-	_, err = oracle.CheckWithOptions(cfg, ch, oracle.Options{
+	_, err = oracle.CheckWithOptions(core.DefaultConfig(), ch, oracle.Options{
 		Fault:           s.Fault,
 		FaultRound:      s.FaultRound,
 		CheckpointRound: s.CheckpointRound,
@@ -72,8 +66,7 @@ func RunCancel(s Scenario) (sim.Result, error, *sim.Engine) {
 	defer cancel()
 	stop := s.CancelRound
 	e, err := sim.NewEngine(ch, sim.Options{
-		Workers: s.Workers,
-		Sched:   s.Sched,
+		Sched: s.Sched,
 		Observer: sim.ObserverFunc(func(_ *chain.Chain, rep core.RoundReport) {
 			if rep.Round == stop-1 {
 				cancel()
@@ -98,12 +91,12 @@ type CampaignCell struct {
 
 // PanicCampaign runs a cells-wide gathering campaign in draining mode
 // (parallel.ForEachAll): every cell simulates its own seeded random-walk
-// chain, and the armed cell's engine panics in its first round on a pool
-// worker (core.FaultPanic). Panic isolation holds when exactly the armed
+// chain, and the armed cell's engine panics in its first round
+// (core.FaultPanic). Panic isolation holds when exactly the armed
 // cell reports an error — a *sim.PanicError, the contained form — and
 // every other cell still gathers; each cell carries its TaskSeed so any
 // failure is reproducible in isolation.
-func PanicCampaign(baseSeed int64, cells, armedCell, engineWorkers, campaignWorkers int) []CampaignCell {
+func PanicCampaign(baseSeed int64, cells, armedCell, campaignWorkers int) []CampaignCell {
 	out := make([]CampaignCell, cells)
 	errs := parallel.ForEachAll(campaignWorkers, cells, func(i int) error {
 		seed := parallel.TaskSeed(baseSeed, i, 0)
@@ -111,7 +104,7 @@ func PanicCampaign(baseSeed int64, cells, armedCell, engineWorkers, campaignWork
 		if err != nil {
 			return err
 		}
-		e, err := sim.NewEngine(ch, sim.Options{Workers: engineWorkers})
+		e, err := sim.NewEngine(ch, sim.Options{})
 		if err != nil {
 			return err
 		}

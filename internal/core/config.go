@@ -60,12 +60,11 @@ type Config struct {
 	// merge-only ablation and by scenario tests that inject runs manually
 	// to reproduce the paper's figures.
 	DisableRunStarts bool
-	// Workers is the intra-round parallelism of the phase kernels: each
-	// look-phase kernel fans out over Workers contiguous chain chunks with
-	// a deterministic chunk-order reduction, so the observable round is
-	// byte-identical for every value (DESIGN.md §9). 0 and 1 both select
-	// the sequential driver; values above 1 spin up a persistent worker
-	// pool in New. Workers is a performance knob, never a semantic one.
+	// Workers is retired and ignored: every round runs on the goroutine
+	// that steps (DESIGN.md §9). The field stays because its "Workers"
+	// key is part of every workload item and record digest, every
+	// checkpoint and every gatherd cache key; Validate still rejects a
+	// negative value, so what was admitted before is admitted now.
 	Workers int
 }
 

@@ -139,16 +139,14 @@ func refApproachingRunAt(a *Algorithm, s *posView, k, dir int) *Run {
 }
 
 // gatherCheckingDecisions runs the paper strategy on c under the scheduler
-// and worker count for at most maxRounds rounds and holds every round's
+// for at most maxRounds rounds and holds every round's
 // decisions, as the decide kernels wrote them, to refRunDecision evaluated
 // on the state the round decided in: every run, in registry order, frozen
 // ones included, and the anomaly counts only decisions raise. It returns
 // the number of decisions checked.
-func gatherCheckingDecisions(t testing.TB, c *chain.Chain, sc sched.Config, workers, maxRounds int, label string) int {
+func gatherCheckingDecisions(t testing.TB, c *chain.Chain, sc sched.Config, maxRounds int, label string) int {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	alg, err := New(c, cfg)
+	alg, err := New(c, DefaultConfig())
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -219,15 +217,13 @@ func gatherCheckingDecisions(t testing.TB, c *chain.Chain, sc sched.Config, work
 // TestRunDecisionMatchesReference holds the one-pass run decision to the
 // unfused reference for every run in every round of the seeded paper
 // gathers of the run-mask battery, under FSYNC and random:p=0.5
-// activation, at one and four workers.
+// activation.
 func TestRunDecisionMatchesReference(t *testing.T) {
 	checked := 0
 	for _, in := range seededGathers(t, 17) {
 		for _, sc := range lookScheds {
-			for _, workers := range []int{1, 4} {
-				label := in.label + "/" + sc.String()
-				checked += gatherCheckingDecisions(t, in.c.Clone(), sc, workers, 20*in.c.Len(), label)
-			}
+			label := in.label + "/" + sc.String()
+			checked += gatherCheckingDecisions(t, in.c.Clone(), sc, 20*in.c.Len(), label)
 		}
 	}
 	t.Logf("checked %d decisions", checked)
@@ -238,7 +234,7 @@ func TestRunDecisionMatchesReference(t *testing.T) {
 
 // FuzzRunDecisionVsReference is the native fuzz form of the same property:
 // any generate.FromBytes chain, with the selector byte choosing FSYNC or a
-// seeded random:p=0.5 schedule and one or four workers.
+// seeded random:p=0.5 schedule (bit 1 is unused).
 func FuzzRunDecisionVsReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3}, uint8(0))
 	f.Add([]byte("corner-and-stairway-starts"), uint8(3))
@@ -255,10 +251,6 @@ func FuzzRunDecisionVsReference(f *testing.F) {
 		if sel&1 != 0 {
 			sc = sched.Config{Kind: sched.Random, P: 0.5, Seed: int64(sel >> 2)}
 		}
-		workers := 1
-		if sel&2 != 0 {
-			workers = 4
-		}
-		gatherCheckingDecisions(t, c, sc, workers, 4*c.Len(), "fuzz")
+		gatherCheckingDecisions(t, c, sc, 4*c.Len(), "fuzz")
 	})
 }

@@ -3,106 +3,45 @@ package core
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"gridgather/internal/chain"
-	"gridgather/internal/grid"
 	"gridgather/internal/view"
 )
 
 // This file holds the phase kernels StepActivated is built from
-// (DESIGN.md §9). Each look-phase kernel reads the frozen round state over
-// a half-open chunk [lo, hi) and writes only its own worker's buffers; the
-// driver then combines the per-worker buffers in worker (= chunk) order, so
-// the observable round is byte-identical for every Config.Workers value.
-// The mutation kernels (move, merge-resolve, apply) run sequentially over
-// explicit ranges — they ARE the seam-exchange step: every cross-chunk
-// interaction (edge-conflict fixpoint at a seam, a merge spanning a chunk
-// boundary, survivor-link rehosting) resolves here against the combined
-// buffers instead of behind locks.
-
-// startHop records a run-start hop detected by KernelStartScan; the driver
-// replays the per-worker lists into the round's startHops table in chunk
-// order, reproducing the sequential insertion order byte for byte.
-type startHop struct {
-	robot chain.Handle
-	hop   grid.Vec
-}
-
-// workerCtx is one worker's persistent kernel state. Buffers are reset by
-// the kernel that owns them at chunk entry and never re-allocated in steady
-// state, keeping the fan-out allocation-free (the PR 2 scratch-reuse rules
-// extended per worker).
-type workerCtx struct {
-	// anomalies collects this worker's defensive-path counts; the driver
-	// folds them into the round total in worker order.
-	anomalies Anomalies
-
-	// KernelMergeScan output: spikes (k=1) and U-turns (k>=2), each in
-	// ascending chain order within the chunk.
-	spikes []MergePattern
-	uturns []MergePattern
-	// KernelDecide output, in run-registry order within the chunk, each
-	// decision written in place.
-	decisions []runDecision
-	// KernelStartScan output, in chain order within the chunk.
-	pending   []pendingStart
-	startHops []startHop
-}
-
-// forEachChunk fans fn over [0, n) in exactly len(a.workers) contiguous
-// chunks: through the worker pool when one exists (Workers >= 2), inline
-// otherwise. Chunk boundaries are a pure function of (n, P) — see
-// parallel.Pool — so combine steps that walk the workers in index order
-// are deterministic for any scheduling.
-func (a *Algorithm) forEachChunk(n int, fn func(worker, lo, hi int)) {
-	if a.pool != nil {
-		a.pool.Run(n, fn)
-		return
-	}
-	p := len(a.workers)
-	for w := 0; w < p; w++ {
-		fn(w, w*n/p, (w+1)*n/p)
-	}
-}
+// (DESIGN.md §9), each called once per round over its whole range on the
+// goroutine that steps. A look-phase kernel reads the frozen round state
+// over a half-open range [lo, hi) and writes only its own output buffers,
+// reset on entry, so a call over a sub-range yields exactly that range's
+// share of the full call. The worker argument is ignored; the signatures
+// keep it so existing callers of the exported kernels still compile. The
+// mutation kernels (move, merge-resolve, apply) run over explicit ranges
+// of the round's combined buffers.
 
 // KernelMergeScan detects the merge patterns whose first black robot lies
-// in chunk [lo, hi): spikes (k=1 direction reversals) and straight U-turns
-// (k>=2), exactly the pattern set of DetectMerges restricted to the chunk.
-// It is the one merge scan (appendMergeScan) over the chunk: reads may
-// cross the seam, writes never do, so a merge straddling a chunk boundary
-// is owned by the chunk holding its first black and no seam coordination
-// is needed.
+// in [lo, hi): spikes (k=1 direction reversals) and straight U-turns
+// (k>=2), exactly the pattern set of DetectMerges restricted to the range.
+// It is the one merge scan (appendMergeScan): reads may cross the range's
+// ends, so a merge reaching past hi is reported whole by the range holding
+// its first black.
 //
-// Kernel contract: reads the materialised edge codes; writes
-// only this worker's spikes/uturns buffers (reset on entry).
-func (a *Algorithm) KernelMergeScan(worker, lo, hi int) {
-	switch a.activeFault() {
-	case FaultPanic:
-		panic(fmt.Sprintf("core: injected kernel panic (worker %d, round %d)", worker, a.round))
-	case FaultWorkerStall:
-		if worker%2 == 1 {
-			time.Sleep(200 * time.Microsecond) // skew the fan-out's completion order
-		}
+// Kernel contract: reads the edge codes; writes only the spikes/uturns
+// buffers (reset on entry).
+func (a *Algorithm) KernelMergeScan(_, lo, hi int) {
+	if a.activeFault() == FaultPanic {
+		panic(fmt.Sprintf("core: injected kernel panic (round %d)", a.round))
 	}
-	w := &a.workers[worker]
-	w.spikes, w.uturns = appendMergeScan(w.spikes[:0], w.uturns[:0], a.ch, a.cfg.MaxMergeLen, lo, hi)
+	sc := &a.scratch
+	sc.spikes, sc.uturns = appendMergeScan(sc.spikes[:0], sc.uturns[:0], a.ch, a.cfg.MaxMergeLen, lo, hi)
 }
 
-// CombineMergePlan folds the per-worker KernelMergeScan buffers into the
-// round's merge plan in worker order — all spikes in ascending chain order,
-// then all U-turns in ascending chain order, reproducing DetectMerges'
-// pattern order byte for byte — and runs the sequential plan tail
-// (spike-priority suppression, participant set, combined hops).
+// CombineMergePlan folds the KernelMergeScan buffers into the round's
+// merge plan — all spikes in ascending chain order, then all U-turns in
+// ascending chain order, DetectMerges' pattern order — and runs the plan
+// tail (spike-priority suppression, participant set, combined hops).
 func (a *Algorithm) CombineMergePlan() error {
 	plan := a.plan
-	plan.Patterns = plan.Patterns[:0]
-	for i := range a.workers {
-		plan.Patterns = append(plan.Patterns, a.workers[i].spikes...)
-	}
-	for i := range a.workers {
-		plan.Patterns = append(plan.Patterns, a.workers[i].uturns...)
-	}
+	plan.Patterns = append(append(plan.Patterns[:0], a.scratch.spikes...), a.scratch.uturns...)
 	return plan.finish(a.ch, a.activeFault() != FaultSkipSpikePriority)
 }
 
@@ -111,21 +50,21 @@ func (a *Algorithm) CombineMergePlan() error {
 // round are frozen (non-FSYNC schedulers).
 //
 // Kernel contract: reads chain, merge plan, run registry and run mask;
-// writes only this worker's decisions buffer and anomaly counters (both
-// reset on entry). The run mask is the one the previous round (or
-// InjectRun, or a restore) left, so a standalone call between rounds reads
-// a current one.
-func (a *Algorithm) KernelDecide(worker, lo, hi int) {
-	w := &a.workers[worker]
-	w.anomalies = Anomalies{}
-	w.decisions = slices.Grow(w.decisions[:0], hi-lo)[:hi-lo]
+// writes only the decisions buffer (reset on entry, one decision per slot,
+// written in place) and adds to the round's anomaly counters, which
+// StepActivated resets when the round begins. The run mask is the one the
+// previous round (or InjectRun, or a restore) left, so a standalone call
+// between rounds reads a current one.
+func (a *Algorithm) KernelDecide(_, lo, hi int) {
+	sc := &a.scratch
+	sc.decisions = slices.Grow(sc.decisions[:0], hi-lo)[:hi-lo]
 	for i, run := range a.runs[lo:hi] {
-		d := &w.decisions[i]
+		d := &sc.decisions[i]
 		if !activeAt(a.active, a.ch.IndexOf(run.Host)) {
 			*d = runDecision{run: run, frozen: true}
 			continue
 		}
-		a.computeRunDecision(d, run, a.plan, &w.anomalies)
+		a.computeRunDecision(d, run, a.plan, &a.anomalies)
 	}
 }
 
@@ -134,13 +73,13 @@ func (a *Algorithm) KernelDecide(worker, lo, hi int) {
 // round gating and the SequentialRuns ablation are the driver's business;
 // the kernel always scans.
 //
-// Kernel contract: reads the materialised edge codes and handles, merge
-// plan, run registry and run mask; writes only this worker's
-// pending/startHops buffers (reset on entry).
-func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
-	w := &a.workers[worker]
-	w.pending = w.pending[:0]
-	w.startHops = w.startHops[:0]
+// Kernel contract: reads the edge codes and handles, merge plan, run
+// registry and run mask; writes only the pending list and the start-hop
+// table (both reset on entry), in chain order.
+func (a *Algorithm) KernelStartScan(_, lo, hi int) {
+	sc := &a.scratch
+	sc.pending = sc.pending[:0]
+	sc.startHops.Reset(a.ch.NumHandles())
 	var s view.Snapshot
 	edges, order := a.ch.EdgeCodes(), a.ch.Handles()
 	for i := lo; i < hi; i++ {
@@ -160,12 +99,12 @@ func (a *Algorithm) KernelStartScan(worker, lo, hi int) {
 			continue // a robot stores at most two run states
 		}
 		for _, dir := range spec.Dirs {
-			w.pending = append(w.pending, pendingStart{
+			sc.pending = append(sc.pending, pendingStart{
 				robot: r, idx: i, dir: dir, kind: spec.Kind, pair: -1,
 			})
 		}
 		if !spec.Hop.IsZero() {
-			w.startHops = append(w.startHops, startHop{robot: r, hop: spec.Hop})
+			sc.startHops.Set(r, spec.Hop)
 		}
 	}
 }

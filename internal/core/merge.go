@@ -55,11 +55,11 @@ func DetectMerges(ch *chain.Chain, maxLen int) []MergePattern {
 // first black robot lies at chain index [lo, hi) to spikes (k=1 direction
 // reversals) and uturns (straight k>=2 runs flanked by an anti-parallel
 // perpendicular edge pair), each in ascending chain order. The engine runs
-// it per chunk (KernelMergeScan); DetectMerges and MergePlan.Plan run it
-// over [0, n).
+// it through KernelMergeScan; DetectMerges and MergePlan.Plan run it over
+// [0, n).
 //
 // A U-turn starting near hi is scanned past it, so a pattern straddling a
-// chunk boundary belongs to the chunk holding its first black. The probe
+// range boundary belongs to the range holding its first black. The probe
 // caps at maxLen edges: a longer run is rejected whatever its true extent,
 // which bounds that overlap at O(maxLen) without changing any outcome.
 func appendMergeScan(spikes, uturns []MergePattern, ch *chain.Chain, maxLen, lo, hi int) ([]MergePattern, []MergePattern) {
@@ -174,9 +174,8 @@ func (plan *MergePlan) Plan(ch *chain.Chain, maxLen int) error {
 
 // finish turns the detected plan.Patterns into the executable plan:
 // spike-priority suppression, the participant set, and the combined
-// per-robot hops. It is the sequential tail shared by Plan and the
-// engine's chunked detection kernels (Algorithm.CombineMergePlan), which
-// fill plan.Patterns themselves. The algorithm's fault-injection
+// per-robot hops. It is the tail shared by Plan and the engine's
+// Algorithm.CombineMergePlan, which fills plan.Patterns itself. The algorithm's fault-injection
 // self-tests (FaultSkipSpikePriority) switch spikePriority off to prove
 // the conformance oracle notices.
 func (plan *MergePlan) finish(ch *chain.Chain, spikePriority bool) error {

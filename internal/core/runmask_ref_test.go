@@ -52,13 +52,11 @@ func checkRunMask(t testing.TB, a *Algorithm, label string) int {
 }
 
 // gatherCheckingRunMask runs the paper strategy on c under the scheduler
-// and worker count for at most maxRounds rounds, checking the run mask
-// before every round. It returns the number of run-rounds checked.
-func gatherCheckingRunMask(t testing.TB, c *chain.Chain, sc sched.Config, workers, maxRounds int, label string) int {
+// for at most maxRounds rounds, checking the run mask before every round.
+// It returns the number of run-rounds checked.
+func gatherCheckingRunMask(t testing.TB, c *chain.Chain, sc sched.Config, maxRounds int, label string) int {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Workers = workers
-	alg, err := New(c, cfg)
+	alg, err := New(c, DefaultConfig())
 	if err != nil {
 		t.Fatalf("%s: %v", label, err)
 	}
@@ -132,16 +130,13 @@ var lookScheds = []sched.Config{{}, {Kind: sched.Random, P: 0.5, Seed: 7}}
 
 // TestRunMaskMatchesRegistry holds the run mask to the registry lookup on
 // seeded paper gathers of squares, polyominoes, spirals, walks and
-// generate.FromBytes chains, under FSYNC and random:p=0.5 activation, at
-// one and four workers.
+// generate.FromBytes chains, under FSYNC and random:p=0.5 activation.
 func TestRunMaskMatchesRegistry(t *testing.T) {
 	checked := 0
 	for _, in := range seededGathers(t, 16) {
 		for _, sc := range lookScheds {
-			for _, workers := range []int{1, 4} {
-				label := in.label + "/" + sc.String()
-				checked += gatherCheckingRunMask(t, in.c.Clone(), sc, workers, 20*in.c.Len(), label)
-			}
+			label := in.label + "/" + sc.String()
+			checked += gatherCheckingRunMask(t, in.c.Clone(), sc, 20*in.c.Len(), label)
 		}
 	}
 	t.Logf("checked %d run-rounds", checked)
@@ -152,7 +147,7 @@ func TestRunMaskMatchesRegistry(t *testing.T) {
 
 // FuzzRunMaskVsRegistry is the native fuzz form of the same property: any
 // generate.FromBytes chain, with the selector byte choosing FSYNC or a
-// seeded random:p=0.5 schedule and one or four workers.
+// seeded random:p=0.5 schedule (bit 1 is unused).
 func FuzzRunMaskVsRegistry(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3}, uint8(0))
 	f.Add([]byte("corner-and-stairway-starts"), uint8(3))
@@ -169,10 +164,6 @@ func FuzzRunMaskVsRegistry(f *testing.F) {
 		if sel&1 != 0 {
 			sc = sched.Config{Kind: sched.Random, P: 0.5, Seed: int64(sel >> 2)}
 		}
-		workers := 1
-		if sel&2 != 0 {
-			workers = 4
-		}
-		gatherCheckingRunMask(t, c, sc, workers, 4*c.Len(), "fuzz")
+		gatherCheckingRunMask(t, c, sc, 4*c.Len(), "fuzz")
 	})
 }

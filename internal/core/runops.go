@@ -48,9 +48,9 @@ func passBudgetFor(cfg Config) int { return 2 * cfg.ViewingPathLength }
 // step 2) for a single run: first the termination conditions of Table 1,
 // then run passing (continuation or trigger), then the traverse operations
 // (b)/(c), then the reshapement operation (a). The decision is written to
-// *d, a slot of the calling worker's decisions buffer, and an is that
-// worker's anomaly counters (kernels.go): the rule itself only reads
-// shared round state, so chunks may evaluate it concurrently.
+// *d, a slot of KernelDecide's decisions buffer, and the anomalies it
+// raises are added to *an; the rule itself only reads the frozen round
+// state.
 //
 // Everything the rule reads of the window in front of the run — the
 // quasi-line endpoint, the first sequent and the first approaching run,

@@ -95,9 +95,9 @@ func TestStrategySnapshotResumesIdentically(t *testing.T) {
 	}
 }
 
-// TestStrategySnapshotWorkers restores into a different worker count: the
-// chunked driver is byte-identical at every worker count, so a snapshot
-// taken at Workers=1 must finish identically under Workers=4.
+// TestStrategySnapshotWorkers restores under a config that differs only in
+// the retired Workers field, which checkpoints still carry: the field is
+// ignored, so the restored strategy must finish in step with the original.
 func TestStrategySnapshotWorkers(t *testing.T) {
 	ch, err := generate.Named("comb", 64, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -128,7 +128,7 @@ func TestStrategySnapshotWorkers(t *testing.T) {
 		}
 	}
 	if !rt.Gathered() {
-		t.Fatal("Workers=4 restore did not gather in step with the original")
+		t.Fatal("restore with Workers=4 did not gather in step with the original")
 	}
 	if ref.Round() != rt.Round() {
 		t.Fatalf("round counters diverge: %d vs %d", ref.Round(), rt.Round())

@@ -5,7 +5,6 @@ import (
 
 	"gridgather/internal/chain"
 	"gridgather/internal/grid"
-	"gridgather/internal/parallel"
 	"gridgather/internal/view"
 )
 
@@ -44,6 +43,11 @@ func (h *hostRuns) stored() []*Run {
 // and the round counter are the only true state of the algorithm, which is
 // why scratch reuse cannot affect determinism.
 type stepScratch struct {
+	// spikes and uturns are KernelMergeScan's output (spikes (k=1) and
+	// U-turns (k>=2), each in ascending chain order), which
+	// CombineMergePlan folds into the merge plan.
+	spikes      []MergePattern
+	uturns      []MergePattern
 	decisions   []runDecision
 	pending     []pendingStart
 	startHops   chain.Scratch[grid.Vec]
@@ -91,24 +95,10 @@ type Algorithm struct {
 	// Step moves them into the report.
 	anomalies Anomalies
 
-	// workers holds the per-chunk kernel state (always at least one
-	// entry); pool is the persistent goroutine pool fanning the look-phase
-	// kernels out when cfg.Workers >= 2, nil on the sequential path. See
-	// kernels.go and DESIGN.md §9.
-	workers []workerCtx
-	pool    *parallel.Pool
-
 	// active is the current round's activation set (nil = FSYNC), stored
-	// so the chunked kernels can consult it without threading a parameter
-	// through the pool.
+	// so the kernels, whose (worker, lo, hi) signature is fixed, can
+	// consult it.
 	active []bool
-
-	// Kernel closures bound once at construction, so the per-round
-	// fan-out dispatches stored func values instead of allocating method
-	// bindings.
-	kMergeScan func(worker, lo, hi int)
-	kDecide    func(worker, lo, hi int)
-	kStartScan func(worker, lo, hi int)
 }
 
 // New creates an Algorithm for the chain with the given configuration.
@@ -131,14 +121,6 @@ func New(ch *chain.Chain, cfg Config) (*Algorithm, error) {
 	}
 	// Size the per-handle tables once; every later Reset is O(1).
 	a.byHandle.Reset(ch.NumHandles())
-	p := max(cfg.Workers, 1)
-	a.workers = make([]workerCtx, p)
-	if p > 1 {
-		a.pool = parallel.NewPool(p)
-	}
-	a.kMergeScan = a.KernelMergeScan
-	a.kDecide = a.KernelDecide
-	a.kStartScan = a.KernelStartScan
 	return a, nil
 }
 
@@ -326,19 +308,11 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	sc := &a.scratch
 	nh := a.ch.NumHandles()
 	n := a.ch.Len()
-	// Materialise the lazy ring caches (order and edge codes) before any
-	// fan-out: the look-phase kernels read them lock-free, so the
-	// mutations they hide (reindex, the first allocation of the edge
-	// codes) must happen here, on the driver.
-	a.ch.Handles()
-	a.ch.EdgeCodes()
 
 	// ---- Look & compute -------------------------------------------------
 	// 1. Merge patterns (Fig 15 step 1). Participants suspend run
-	//    operations; blacks hop towards the whites. Each chunk detects the
-	//    patterns starting inside it (reads may cross the seam, writes
-	//    never do); the combine folds them in chunk order.
-	a.forEachChunk(n, a.kMergeScan)
+	//    operations; blacks hop towards the whites.
+	a.KernelMergeScan(0, 0, n)
 	if err := a.CombineMergePlan(); err != nil {
 		return rep, err
 	}
@@ -352,34 +326,20 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	for _, run := range a.runs {
 		run.justStarted = false
 	}
-	a.forEachChunk(len(a.runs), a.kDecide)
-	decisions := sc.decisions[:0]
-	for i := range a.workers {
-		decisions = append(decisions, a.workers[i].decisions...)
-		a.anomalies.Add(a.workers[i].anomalies)
-	}
-	sc.decisions = decisions
+	a.KernelDecide(0, 0, len(a.runs))
+	decisions := sc.decisions
 
 	// 3. Run starts (Fig 15 step 3): every L-th round, robots matching the
-	//    Fig 5 patterns start runs, unless they take part in a merge. The
-	//    pending lists and start hops combine in chunk order, reproducing
-	//    the sequential chain-order scan.
-	pending := sc.pending[:0]
+	//    Fig 5 patterns start runs, unless they take part in a merge.
+	sc.pending = sc.pending[:0]
 	sc.startHops.Reset(nh)
 	if !a.cfg.DisableRunStarts &&
 		a.round%a.cfg.RunPeriod == 0 && n >= MinChainForRuns &&
 		(!a.cfg.SequentialRuns || len(a.runs) == 0) {
-		a.forEachChunk(n, a.kStartScan)
-		for i := range a.workers {
-			w := &a.workers[i]
-			pending = append(pending, w.pending...)
-			for _, sh := range w.startHops {
-				sc.startHops.Set(sh.robot, sh.hop)
-			}
-		}
-		a.pairStarts(pending)
+		a.KernelStartScan(0, 0, n)
+		a.pairStarts(sc.pending)
 	}
-	sc.pending = pending
+	pending := sc.pending
 
 	// ---- Move -----------------------------------------------------------
 	// Collect all hops; apply simultaneously. A robot receives at most one

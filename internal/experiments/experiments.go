@@ -32,12 +32,6 @@ type Params struct {
 	// GOMAXPROCS. Results are identical for every value (the determinism
 	// contract of internal/parallel).
 	Parallel int
-	// EngineWorkers is the intra-round worker count of every simulated
-	// engine (the core phase kernels, DESIGN.md §9); 0 and 1 select the
-	// sequential driver. Like Parallel it is a pure performance knob: the
-	// rendered tables are byte-identical for every value, pinned by
-	// TestEngineWorkersDeterminism.
-	EngineWorkers int
 	// Sched is the activation model the suite's round simulations run
 	// under (internal/sched; zero value = FSYNC, the paper's model and the
 	// recorded EXPERIMENTS.md setting). It applies to every experiment
@@ -73,19 +67,18 @@ func (p Params) ctx() context.Context {
 }
 
 // gatherOpts returns the sim options of a suite simulation: the suite-wide
-// activation model, gathering strategy and engine worker count plus any
-// per-experiment extras the caller sets.
+// activation model and gathering strategy plus any per-experiment extras
+// the caller sets.
 func (p Params) gatherOpts() sim.Options {
-	return sim.Options{Sched: p.Sched, Strategy: p.Strategy, Workers: p.EngineWorkers}
+	return sim.Options{Sched: p.Sched, Strategy: p.Strategy}
 }
 
-// withSched stamps the suite-wide activation model, gathering strategy and
-// engine worker count onto options built by the ablation presets
-// (baseline.*Options), which know nothing about any of them.
+// withSched stamps the suite-wide activation model and gathering strategy
+// onto options built by the ablation presets (baseline.*Options), which
+// know nothing about either.
 func (p Params) withSched(opts sim.Options) sim.Options {
 	opts.Sched = p.Sched
 	opts.Strategy = p.Strategy
-	opts.Workers = p.EngineWorkers
 	return opts
 }
 

@@ -99,31 +99,6 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestEngineWorkersDeterminism is the intra-round sibling of
-// TestParallelDeterminism: the rendered suite output is byte-identical
-// when every simulated engine runs its phase kernels on multiple workers
-// (core chunked driver, DESIGN.md §9).
-func TestEngineWorkersDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("determinism sweep skipped in -short mode")
-	}
-	run := func(engineWorkers int) string {
-		p := quickParams()
-		p.EngineWorkers = engineWorkers
-		outs, err := All(p)
-		if err != nil {
-			t.Fatalf("engine workers=%d: %v", engineWorkers, err)
-		}
-		return Render(outs, false)
-	}
-	ref := run(1)
-	for _, workers := range []int{4, 8} {
-		if got := run(workers); got != ref {
-			t.Errorf("suite output differs between engine workers 1 and %d", workers)
-		}
-	}
-}
-
 // TestOutcomeTasksCounted ensures every experiment reports its grid size,
 // the denominator of gatherbench's throughput line.
 func TestOutcomeTasksCounted(t *testing.T) {

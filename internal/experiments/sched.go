@@ -58,7 +58,7 @@ func runSchedCell(p Params, shape string, sc sched.Config, rng *rand.Rand) (sche
 		sc.Seed = rng.Int63()
 	}
 	n := ch.Len()
-	res, err := sim.Gather(ch, sim.Options{Sched: sc, Workers: p.EngineWorkers})
+	res, err := sim.Gather(ch, sim.Options{Sched: sc})
 	if err != nil {
 		// Both DNF verdicts are first-class cells: the watchdog expiring,
 		// and the stall detector calling the livelock long before that.

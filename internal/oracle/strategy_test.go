@@ -125,9 +125,10 @@ func TestStrategyFromByteSpace(t *testing.T) {
 }
 
 // TestStrategyPathSweepsConfigAndWorkers runs lintime across the fuzzing
-// configuration space and the worker counts on a mixed workload set: the
-// contraction ignores (V, L) and Workers by design, so every point must
-// behave identically — gather under FSYNC with a clean battery.
+// configuration space, with the retired Workers field set as well, on a
+// mixed workload set: the contraction ignores (V, L) by design and every
+// strategy ignores Workers, so every point must behave identically —
+// gather under FSYNC with a clean battery.
 func TestStrategyPathSweepsConfigAndWorkers(t *testing.T) {
 	ch, err := generate.RandomClosedWalk(96, rand.New(rand.NewSource(21)))
 	if err != nil {

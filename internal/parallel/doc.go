@@ -10,7 +10,7 @@
 // worker count, which is what lets `gatherbench -parallel 1` and
 // `-parallel 8` produce byte-identical tables.
 //
-// The same pool also backs the core engine's chunked phase-kernel driver
-// (core.Config.Workers, DESIGN.md §9), which reuses one long-lived Pool
-// across rounds so the per-round fan-out stays allocation-free.
+// Parallelism is across items only: experiments, gatherfuzz,
+// workload.Expand and gatherd's job pool fan out here, while each engine
+// steps its rounds on one goroutine (DESIGN.md §9).
 package parallel

@@ -155,6 +155,13 @@ dispatch:
 			next <- i
 			continue
 		}
+		// Check before the select: when a worker is ready to receive as
+		// well, select picks a ready case at random, so an already
+		// cancelled context could still dispatch.
+		if ctx.Err() != nil {
+			cancelled = true
+			break
+		}
 		select {
 		case <-done:
 			cancelled = true

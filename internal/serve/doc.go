@@ -11,9 +11,9 @@
 // the golden-fixture and conformance machinery, so a SHA-256 over exactly
 // those fields is a sound address for the pinned Result. Runtime knobs that
 // provably cannot change bytes (wall-clock limits, invariant checking) stay
-// out of the key; the engine worker count is folded in conservatively via
-// Config.Workers even though the Workers byte-identity battery proves it
-// semantically inert. Because that key is defined over the built chain, a
+// out of the key; the retired job Workers value is still folded in via
+// Config.Workers, although the engine ignores it, so that keys stay the
+// addresses they were. Because that key is defined over the built chain, a
 // byte-identical re-submission is looked up first by the SHA-256 of its
 // request body, which each entry keeps for the body that created it, and
 // is answered without decoding or rebuilding anything.

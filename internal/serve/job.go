@@ -61,11 +61,10 @@ type JobSpec struct {
 	// (scenario, options, budget), so different budgets are different
 	// results.
 	MaxRounds int `json:"maxRounds,omitempty"`
-	// Workers sets the engine's intra-round parallelism. Byte-identity
-	// across worker counts is a pinned property of the engine, but the
-	// cache key still includes it (folded into Config.Workers) — the
-	// cache must stay sound even if that property ever regresses, at the
-	// price of a conservative miss.
+	// Workers is retired: the engine ignores it and steps every round on
+	// one goroutine. It still goes into the cache key, folded into
+	// Config.Workers as before, so that every key, an address clients
+	// use (GET /results/{key}), stays what it was (DESIGN.md §12).
 	Workers int `json:"workers,omitempty"`
 }
 
@@ -84,7 +83,7 @@ func (s JobSpec) options() sim.Options {
 		Strategy:  s.Strategy,
 		Sched:     s.Sched,
 		MaxRounds: s.MaxRounds,
-		Workers:   s.Workers,
+		Workers:   s.Workers, // read by cacheKey only; the engine ignores it
 	}
 }
 
@@ -130,7 +129,7 @@ type keyPayload struct {
 	// repair, or a generator family).
 	Scenario []byte
 	// Config is the defaulted, validated parameter set with the spec's
-	// Workers override already folded in.
+	// retired Workers value folded in, which keeps keys stable.
 	Config core.Config
 	// Strategy is the parsed canonical name ("" for paper), so the spec
 	// spellings "" and "paper" share a slot.

@@ -201,8 +201,9 @@ func mustKey(t *testing.T, spec JobSpec) string {
 
 // TestCacheKeyPerturbations pins the key's sensitivity: every field that
 // can change simulation bytes changes the key (a single perturbation of
-// seed, scheduler, strategy, workers, round budget or one scenario byte
-// misses), and spellings of the same content collide (hit).
+// seed, scheduler, strategy, round budget or one scenario byte misses),
+// and so does the retired workers value, which stays in the key so that
+// addresses stay stable; spellings of the same content collide (hit).
 func TestCacheKeyPerturbations(t *testing.T) {
 	base := JobSpec{Shape: "walk", Size: 64, Seed: 1}
 	kb := mustKey(t, base)
@@ -269,6 +270,36 @@ func TestCacheKeyPerturbations(t *testing.T) {
 	dressed[0] |= 4 // same direction, different byte
 	if k := mustKey(t, JobSpec{Scenario: dressed}); k != k1 {
 		t.Fatal("non-semantic scenario byte bits leaked into the key")
+	}
+}
+
+// TestCacheKeysPinned pins exact keys. A key is an address clients keep
+// (GET /results/{key}), so any change to the key derivation, to the
+// retired workers fold or to core.Config's JSON shows up here. The values
+// were computed before the engine's worker count was retired.
+func TestCacheKeysPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+		want string
+	}{
+		{"walk", JobSpec{Shape: "walk", Size: 64, Seed: 1},
+			"1f7b4f63d8524f41158602125e866b02d2795497467b6acc69186b30c5fa2d22"},
+		{"walk-workers-1", JobSpec{Shape: "walk", Size: 64, Seed: 1, Workers: 1},
+			"560278b99a77d446c35b6e65bf1e78f6d89850fe8e017b8512b66d96d5a9ffc1"},
+		{"walk-workers-4", JobSpec{Shape: "walk", Size: 64, Seed: 1, Workers: 4},
+			"24113505ab79a0394cd2737a11934bc95eb62f309e79fb49b30ba31e98033bf0"},
+		{"walk-config-workers-2", JobSpec{Shape: "walk", Size: 64, Seed: 1,
+			Config: core.Config{ViewingPathLength: 11, RunPeriod: 13, MaxMergeLen: 10, Workers: 2}},
+			"61bc7f0a94d86f0f5008f30f2ed6b4bd4cf8403bb0c85f6c8bde8f0dccf5e25f"},
+		{"lintime-spiral", JobSpec{Shape: "spiral", Size: 120, Strategy: core.StrategyLinTime},
+			"ead497b3d5c7fc79ad48ba9c98fb772b0717bf87ca93248e34e1e4b688ec9453"},
+		{"scenario-bytes", JobSpec{Scenario: []byte{0, 0, 0, 1, 1, 2, 2, 2, 3, 3}},
+			"bba00d15b59b3b53f8a78467d5b387fd20f276e54259b6c8e5fa65f43554d832"},
+	} {
+		if got := mustKey(t, tc.spec); got != tc.want {
+			t.Errorf("%s: key %s, want %s", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -33,15 +33,16 @@ var (
 
 // Checkpoint is the complete resumable state of an Engine at a round
 // boundary: run Restore on it and the resumed engine finishes with the
-// byte-identical Result an uninterrupted run would have produced, at any
-// worker count (DESIGN.md §11). Engine.Checkpoint captures one; Encode and
+// byte-identical Result an uninterrupted run would have produced
+// (DESIGN.md §11). Engine.Checkpoint captures one; Encode and
 // DecodeCheckpoint move it through the CRC-sealed envelope shared with
 // Bundle.
 type Checkpoint struct {
 	// The semantic run parameters. Runtime-only knobs — Observer,
-	// CheckInvariants, Workers, wall-clock limits — are deliberately
-	// absent: they belong to the resuming process and are supplied to
-	// Restore via its Options.
+	// CheckInvariants, wall-clock limits — are deliberately absent: they
+	// belong to the resuming process and are supplied to Restore via its
+	// Options. The retired Options.Workers never reaches Config, so the
+	// same run checkpoints to the same bytes whatever it was set to.
 	Config         core.Config       `json:"config"`
 	Strategy       core.StrategyName `json:"strategy"`
 	Sched          sched.Config      `json:"sched"`
@@ -114,16 +115,11 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // Restore rebuilds an engine from a checkpoint. The checkpoint supplies
 // every semantic parameter (config, strategy, scheduler, watchdog budget);
 // opts contributes only the runtime-side knobs — CheckInvariants, Observer,
-// Workers, Deadline/MaxWallTime — so the same checkpoint can resume under a
-// different worker count or with invariant checking switched on without
-// changing the simulated outcome. Every structural claim the checkpoint
-// makes is re-validated from scratch; a checkpoint that decodes but lies is
-// rejected with ErrCheckpointCorrupt.
+// Deadline/MaxWallTime — so the same checkpoint can resume with invariant
+// checking switched on without changing the simulated outcome. Every
+// structural claim the checkpoint makes is re-validated from scratch; a
+// checkpoint that decodes but lies is rejected with ErrCheckpointCorrupt.
 func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
-	cfg := cp.Config
-	if opts.Workers > 0 {
-		cfg.Workers = opts.Workers
-	}
 	ch, err := chain.FromSnapshot(cp.Chain)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
@@ -131,7 +127,7 @@ func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 	if cp.Result.InitialLen < ch.Len() || cp.Result.InitialLen < 2 {
 		return nil, fmt.Errorf("%w: initial length %d with %d robots alive", ErrCheckpointCorrupt, cp.Result.InitialLen, ch.Len())
 	}
-	alg, err := core.RestoreStrategy(cp.Strategy, ch, cfg, cp.Strat)
+	alg, err := core.RestoreStrategy(cp.Strategy, ch, cp.Config, cp.Strat)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
@@ -158,7 +154,7 @@ func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 			schd.Activate(round, buf[:n])
 		}
 	}
-	tracker := newPairTracker(cfg.RunPeriod)
+	tracker := newPairTracker(cp.Config.RunPeriod)
 	if err := tracker.restore(cp.Tracker); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCheckpointCorrupt, err)
 	}
@@ -167,7 +163,7 @@ func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 	}
 
 	eopts := Options{
-		Config:          cfg,
+		Config:          cp.Config,
 		Strategy:        cp.Strategy,
 		MaxRounds:       cp.MaxRounds,
 		WatchdogFactor:  cp.WatchdogFactor,
@@ -175,7 +171,6 @@ func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 		CheckInvariants: opts.CheckInvariants,
 		Observer:        opts.Observer,
 		Sched:           cp.Sched,
-		Workers:         opts.Workers,
 		Deadline:        opts.Deadline,
 		MaxWallTime:     opts.MaxWallTime,
 	}

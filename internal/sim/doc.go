@@ -9,7 +9,5 @@
 // package-level state — so independent engines may run concurrently
 // without synchronisation. The experiment harness relies on this: its
 // worker pool (internal/parallel) runs one engine per task. Within one
-// engine, Options.Workers sizes the core driver's intra-round phase-kernel
-// fan-out (DESIGN.md §9) — a performance knob whose results are
-// byte-identical for every value.
+// engine every round runs on the goroutine that steps (DESIGN.md §9).
 package sim

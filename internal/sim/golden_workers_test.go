@@ -14,17 +14,18 @@ import (
 	"gridgather/internal/trace"
 )
 
-// workerCounts is the battery's sweep: the sequential driver plus three
-// chunked configurations, including more workers than the container may
-// have cores (byte-identity must not depend on real parallelism).
+// The tests in this file pin that the retired Options.Workers is ignored.
+// The field stays settable, because benchmark harnesses and older callers
+// still set it, but every round runs on the goroutine that steps
+// (DESIGN.md §9): no value of it may select a second code path through a
+// round or change a byte of observable behaviour.
+
+// workerCounts is the battery's sweep of the retired field.
 var workerCounts = []int{1, 2, 4, 8}
 
-// TestGoldenTracesWorkers replays every golden workload through the
-// chunked driver at Workers ∈ {2, 4, 8} and byte-compares the serialised
-// Result against the committed sequential fixture. Together with
-// TestGoldenTraces (Workers = 1) this pins the determinism contract of
-// DESIGN.md §9: the worker count changes wall-clock, never a byte of
-// observable behaviour.
+// TestGoldenTracesWorkers replays every golden workload with Workers set
+// to 2, 4 and 8 and byte-compares the serialised Result against the
+// committed fixture that TestGoldenTraces checks without it.
 func TestGoldenTracesWorkers(t *testing.T) {
 	for _, w := range goldenWorkloads() {
 		for _, workers := range workerCounts[1:] {
@@ -48,7 +49,7 @@ func TestGoldenTracesWorkers(t *testing.T) {
 					t.Fatalf("missing fixture (run TestGoldenTraces with -update first): %v", err)
 				}
 				if string(got) != string(want) {
-					t.Errorf("Workers=%d Result diverged from sequential fixture %s", workers, path)
+					t.Errorf("Workers=%d Result diverged from fixture %s", workers, path)
 				}
 			})
 		}
@@ -59,16 +60,14 @@ func TestGoldenTracesWorkers(t *testing.T) {
 // frame by frame — heavier than the Result comparison, so a representative
 // mix rather than all sixteen: the smallest ring, a merge-heavy doubled
 // path, a run-driven square, a random tangle, and one lintime workload
-// (the contraction is sequential per round, but the determinism contract
-// must hold for every registered strategy).
+// (the field must be ignored under every registered strategy).
 var traceWorkloads = []string{"ring_8", "doubled_40_seed3", "rectangle_48x48", "walk_256_seed11",
 	"lintime_walk_512_seed42"}
 
 // TestWorkersTraceBytesIdentical renders the complete ASCII trace (every
-// round's positions) at each worker count and compares the bytes against
-// the sequential rendering: the strongest observable-equality check short
-// of hashing raw memory, covering intermediate configurations the Result
-// JSON summarises away.
+// round's positions) at each value of the retired field and compares the
+// bytes against the Workers=1 rendering, covering intermediate
+// configurations the Result JSON summarises away.
 func TestWorkersTraceBytesIdentical(t *testing.T) {
 	byName := map[string]goldenWorkload{}
 	for _, w := range goldenWorkloads() {
@@ -95,7 +94,7 @@ func TestWorkersTraceBytesIdentical(t *testing.T) {
 			want := render(1)
 			for _, workers := range workerCounts[1:] {
 				if got := render(workers); got != want {
-					t.Errorf("Workers=%d trace bytes diverged from sequential", workers)
+					t.Errorf("Workers=%d trace bytes diverged from Workers=1", workers)
 				}
 			}
 		})
@@ -104,8 +103,8 @@ func TestWorkersTraceBytesIdentical(t *testing.T) {
 
 // TestWorkersRoundReportsIdentical compares the full per-round report
 // stream — every RoundReport field including event slices, not just the
-// final Result — across worker counts, catching divergence in rounds whose
-// differences cancel out by the end.
+// final Result — across values of the retired field, catching divergence
+// in rounds whose differences cancel out by the end.
 func TestWorkersRoundReportsIdentical(t *testing.T) {
 	for _, name := range traceWorkloads {
 		var w goldenWorkload
@@ -132,7 +131,7 @@ func TestWorkersRoundReportsIdentical(t *testing.T) {
 			want := history(1)
 			for _, workers := range workerCounts[1:] {
 				if got := history(workers); got != want {
-					t.Errorf("Workers=%d round-report stream diverged from sequential", workers)
+					t.Errorf("Workers=%d round-report stream diverged from Workers=1", workers)
 				}
 			}
 		})

@@ -55,8 +55,7 @@ type Snapshot struct {
 
 // At fills s with the view of the robot at index center with viewing path
 // length v. runs is the ring-indexed run mask (nil when run states are
-// irrelevant). The chain's ring caches must be materialised before views
-// are taken concurrently (chain.EdgeCodes).
+// irrelevant).
 func At(s *Snapshot, ch *chain.Chain, center, v int, runs []uint8) {
 	Over(s, ch.EdgeCodes(), ch.Handles(), center, v, runs)
 }

@@ -33,7 +33,7 @@ func TestExecuteTraceReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Execute(context.Background(), s, 4, 0)
+	recs, err := Execute(context.Background(), s, 4)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -91,7 +91,7 @@ func TestExecuteDeterministic(t *testing.T) {
 	}
 	var a, b bytes.Buffer
 	for _, buf := range []*bytes.Buffer{&a, &b} {
-		recs, err := Execute(context.Background(), s, 3, 2)
+		recs, err := Execute(context.Background(), s, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -120,7 +120,7 @@ scheds:
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Execute(context.Background(), s, 2, 0)
+	recs, err := Execute(context.Background(), s, 2)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
