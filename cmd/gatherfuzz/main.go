@@ -196,7 +196,7 @@ func gatherfuzzMain() int {
 		if err != nil {
 			return fmt.Errorf("scenario %d (%s): generator failed: %w", i, sc.desc(), err)
 		}
-		res, err := oracle.CheckWithOptions(sc.cfg(), ch, sc.oracleOpts())
+		res, err := check(sc.cfg(), ch, sc.oracleOpts())
 		if err != nil {
 			bundleMu.Lock()
 			if failureBd == nil {
@@ -213,7 +213,7 @@ func gatherfuzzMain() int {
 			}
 			bundleMu.Unlock()
 			minimal := oracle.Shrink(ch.Positions(), func(c *chain.Chain) bool {
-				_, serr := oracle.CheckWithOptions(sc.cfg(), c, sc.oracleOpts())
+				_, serr := check(sc.cfg(), c, sc.oracleOpts())
 				return serr != nil
 			})
 			return fmt.Errorf("scenario %d (%s): %w\nreproduce: gatherfuzz -seed %d -min-size %d -max-size %d -sched %s -strategy %s -only %d\nshrunk witness:\n%s",
@@ -404,7 +404,7 @@ func resumeBundle(path string) int {
 	if b.Err != "" {
 		fmt.Printf("recorded failure: %s\n", b.Err)
 	}
-	if _, err := oracle.CheckWithOptions(b.Config, b.Scenario, oracle.Options{Sched: b.Sched, Strategy: b.Strategy}); err != nil {
+	if _, err := check(b.Config, b.Scenario, oracle.Options{Sched: b.Sched, Strategy: b.Strategy}); err != nil {
 		fmt.Printf("divergence reproduces: %v\n", err)
 		return 1
 	}
@@ -419,6 +419,17 @@ func runScenario(base int64, i, minSize, maxSize int, forced *sched.Config, forc
 	if err != nil {
 		return sc.desc(), err
 	}
-	_, err = oracle.CheckWithOptions(sc.cfg(), ch, sc.oracleOpts())
+	_, err = check(sc.cfg(), ch, sc.oracleOpts())
 	return fmt.Sprintf("%s n=%d", sc.desc(), ch.Len()), err
+}
+
+// check is the conformance check of one scenario: the oracle's check and,
+// under FSYNC, the all-awake law (oracle.CheckAllAwake), whose mismatch is
+// a divergence like any other.
+func check(cfg core.Config, ch *chain.Chain, opts oracle.Options) (oracle.Result, error) {
+	res, err := oracle.CheckWithOptions(cfg, ch, opts)
+	if err == nil && opts.Sched.Kind == sched.FSYNC {
+		err = oracle.CheckAllAwake(cfg, ch, opts.Strategy)
+	}
+	return res, err
 }

@@ -156,11 +156,11 @@ func specMain(specArg string, scenarios, workers, only int, progress time.Durati
 }
 
 // checkItem runs one expanded campaign item through the conformance
-// oracle — the same lockstep/battery check the raw-flag campaign uses.
+// check the raw-flag campaign uses, the all-awake law included.
 func checkItem(it workload.Item) (oracle.Result, error) {
 	ch, err := it.Chain()
 	if err != nil {
 		return oracle.Result{}, fmt.Errorf("rebuilding scenario: %w", err)
 	}
-	return oracle.CheckWithOptions(it.EffectiveConfig(), ch, oracle.Options{Sched: it.Sched, Strategy: it.Strategy})
+	return check(it.EffectiveConfig(), ch, oracle.Options{Sched: it.Sched, Strategy: it.Strategy})
 }

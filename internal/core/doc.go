@@ -20,6 +20,8 @@
 // (StrategyName, NewStrategy). Two strategies register: Algorithm (the
 // paper, the zero-value default) and LinTime, the linear-time
 // bounding-box contraction successor (arXiv:1501.04877) — ~diameter/2
-// FSYNC rounds at the price of global vision, with an edge-guard
-// suppression fixpoint under partial activation.
+// FSYNC rounds at the price of global vision. Both settle illegal edges
+// with the one edge-conflict fixpoint (edgeGuard, DESIGN.md §3.6): the
+// paper under every activation set, lintime under partial activation
+// (its FSYNC clamp cannot break an edge).
 package core

@@ -18,14 +18,12 @@ import (
 // Under FSYNC no conflict handling is needed: per-coordinate clamping is
 // 1-Lipschitz and identical for equal coordinates, so when both endpoints
 // of an axis-unit edge apply it, the edge stays an axis unit or collapses
-// to zero. Under partial activation that argument breaks — a robot
-// clamping perpendicular to its edge while the neighbour sleeps would
-// stretch the edge diagonally — so non-FSYNC rounds run the same kind of
-// edge-guard suppression fixpoint as the paper core's non-FSYNC branch:
-// a move is cancelled when either incident edge would leave the chain-edge
-// set given the neighbours' (current) decisions. Cancelling can only
-// invalidate further moves, never enable one, so iterating to the greatest
-// fixpoint is deterministic and order-independent.
+// to zero. FSYNC rounds therefore clamp every robot with no guard, which
+// equals running the edge-conflict fixpoint with everyone awake and costs
+// less. Under partial activation that argument breaks — a robot clamping
+// perpendicular to its edge while the neighbour sleeps would stretch the
+// edge diagonally — so those rounds send the activated robots' clamp hops
+// through the shared fixpoint (edgeGuard, DESIGN.md §3.6).
 //
 // The bounding box never grows (all moves point inward), so the safety
 // battery of the conformance layer (ring integrity, chain edges, no zero
@@ -43,12 +41,12 @@ type LinTime struct {
 	round int
 
 	// Per-round scratch, reused so the steady-state round loop allocates
-	// nothing (the repo-wide reuse rules, DESIGN.md §5). targets and
-	// moving are the non-FSYNC fixpoint's per-ring-index state.
-	moved   []chain.Handle
-	events  []chain.MergeEvent
-	targets []grid.Vec
-	moving  []bool
+	// nothing (the repo-wide reuse rules, DESIGN.md §5). hops and guard
+	// serve partial-activation rounds only.
+	moved  []chain.Handle
+	events []chain.MergeEvent
+	hops   chain.Scratch[grid.Vec]
+	guard  edgeGuard
 }
 
 // NewLinTime creates the contraction strategy for the chain (owned by the
@@ -92,6 +90,9 @@ func (lt *LinTime) Step() (RoundReport, error) { return lt.StepActivated(nil) }
 func (lt *LinTime) StepActivated(active []bool) (RoundReport, error) {
 	ch := lt.ch
 	rep := RoundReport{Round: lt.round}
+	if active != nil && len(active) != ch.Len() {
+		return rep, fmt.Errorf("core: activation set has %d entries for %d robots", len(active), ch.Len())
+	}
 	lt.round++
 
 	b := ch.Bounds()
@@ -110,8 +111,8 @@ func (lt *LinTime) StepActivated(active []bool) (RoundReport, error) {
 	hs := ch.Handles()
 	lt.moved = lt.moved[:0]
 	if active == nil {
-		// FSYNC fast path: every robot applies the same 1-Lipschitz clamp,
-		// so no edge can break and no guard is needed.
+		// FSYNC: every robot applies the same 1-Lipschitz clamp, so no edge
+		// can break and no guard is needed.
 		for _, h := range hs {
 			p := ch.PosOf(h)
 			if q := clampPos(p); q != p {
@@ -120,13 +121,29 @@ func (lt *LinTime) StepActivated(active []bool) (RoundReport, error) {
 			}
 		}
 	} else {
-		lt.stepSuppressed(active, clampPos)
+		// Partial activation: the activated robots' clamp hops go through
+		// the edge-conflict fixpoint, and the survivors move in ring order.
+		lt.hops.Reset(ch.NumHandles())
+		for i, h := range hs {
+			if p := ch.PosOf(h); active[i] {
+				if q := clampPos(p); q != p {
+					lt.hops.Set(h, q.Sub(p))
+				}
+			}
+		}
+		lt.guard.suppressIllegalHops(ch, &lt.hops)
+		for _, h := range lt.hops.Keys() {
+			if v, ok := lt.hops.Get(h); ok {
+				ch.MoveBy(h, v)
+				lt.moved = append(lt.moved, h)
+			}
+		}
 	}
 	rep.RunnerHops = len(lt.moved)
 
-	// Defensive parity with the paper core: the clamp argument above
-	// proves edges stay legal, and this is the check that keeps the proof
-	// honest against future edits. O(#moved), not O(n).
+	// Defensive parity with the paper core: the clamp argument and the
+	// fixpoint keep every edge legal, and this is the check that keeps
+	// them honest against future edits. O(#moved), not O(n).
 	if err := ch.CheckEdgesAround(lt.moved); err != nil {
 		return rep, fmt.Errorf("core: lintime round %d broke the chain: %w", rep.Round, err)
 	}
@@ -136,57 +153,6 @@ func (lt *LinTime) StepActivated(active []bool) (RoundReport, error) {
 	rep.ChainLen = ch.Len()
 	rep.Gathered = ch.Gathered()
 	return rep, nil
-}
-
-// stepSuppressed is the non-FSYNC move phase: compute every activated
-// robot's clamp target, then cancel moves until every incident edge is a
-// chain edge given the surviving decisions. Cancelling a move can only
-// break further movers (their neighbour now stays put), never legalise
-// one, so the loop reaches the unique greatest fixpoint in at most
-// #movers passes; the surviving moves are applied and recorded in
-// lt.moved in ring order.
-func (lt *LinTime) stepSuppressed(active []bool, clampPos func(grid.Vec) grid.Vec) {
-	ch := lt.ch
-	hs := ch.Handles()
-	n := len(hs)
-	if cap(lt.targets) < n {
-		lt.targets = make([]grid.Vec, n)
-		lt.moving = make([]bool, n)
-	}
-	targets, moving := lt.targets[:n], lt.moving[:n]
-	movers := 0
-	for i, h := range hs {
-		p := ch.PosOf(h)
-		targets[i], moving[i] = p, false
-		if active[i] {
-			if q := clampPos(p); q != p {
-				targets[i], moving[i] = q, true
-				movers++
-			}
-		}
-	}
-	for changed := movers > 0; changed; {
-		changed = false
-		for i := range hs {
-			if !moving[i] {
-				continue
-			}
-			prev, next := (i+n-1)%n, (i+1)%n
-			if targets[i].Sub(targets[prev]).IsChainEdge() &&
-				targets[next].Sub(targets[i]).IsChainEdge() {
-				continue
-			}
-			targets[i] = ch.PosOf(hs[i])
-			moving[i] = false
-			changed = true
-		}
-	}
-	for i, h := range hs {
-		if moving[i] {
-			ch.SetPos(h, targets[i])
-			lt.moved = append(lt.moved, h)
-		}
-	}
 }
 
 // clampInt clamps v into [lo, hi].

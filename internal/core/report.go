@@ -41,12 +41,14 @@ type Anomalies struct {
 	// ShortAhead counts normal-mode runs at a corner with fewer than two
 	// aligned robots ahead.
 	ShortAhead int
-	// HopConflicts counts suppressed hop conflicts: two runs requesting
-	// hops on the same robot, a runner colliding with a merge or start
-	// hop, or ring-adjacent back-to-back runs whose reshapement hops
-	// would stretch their shared edge beyond a chain edge (runs can end
-	// up back to back when merge splices teleport their hosts along
-	// survivor links; found by the conformance campaign, DESIGN.md §7).
+	// HopConflicts counts suppressed hops: one per hop request the
+	// collection refuses (a second hop on one robot — two runs, or a
+	// runner or start hop on a robot that already hops), and one per hop
+	// the edge-conflict fixpoint suppresses because it would leave an
+	// incident edge outside the chain-edge set (DESIGN.md §3.6): runs
+	// back to back after merge splices teleported their hosts, or, under
+	// partial activation, a hop next to a sleeping robot. lintime
+	// reports none.
 	HopConflicts int
 	// StuckRuns counts runs terminated by the TermStuck safeguard.
 	StuckRuns int

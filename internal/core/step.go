@@ -54,6 +54,7 @@ type stepScratch struct {
 	hops        chain.Scratch[grid.Vec]
 	runnerHop   chain.Scratch[struct{}]
 	survivorOf  chain.Scratch[chain.Handle]
+	guard       edgeGuard
 	moved       []chain.Handle
 	alive       []*Run
 	pairKey     map[[2]int]int
@@ -290,9 +291,9 @@ func activeAt(active []bool, i int) bool {
 // the round) performs its look–compute–move cycle. Sleeping robots keep
 // their position, start no runs, execute no merge hops, and their hosted
 // runs are frozen in place; their stale positions remain fully visible to
-// active robots (internal/sched documents the model). A nil set selects
-// the FSYNC fast path, which is byte-identical to the pre-scheduler
-// implementation — golden traces and the bench trajectory pin that.
+// active robots (internal/sched documents the model). A nil set is FSYNC:
+// it runs exactly like a set with every entry true, and the one
+// edge-conflict fixpoint settles the round either way.
 func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	rep := RoundReport{Round: a.round}
 	if a.ch.Gathered() {
@@ -387,108 +388,23 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 		sc.hops.Set(r, h)
 		rep.StartHops++
 	}
-	// Edge-conflict suppression: two runs can end up back to back on the
-	// two corners of one jog — merge splices teleport run hosts along
-	// survivor links, so opposite-direction runs may become ring
-	// neighbours without ever approaching face to face (where run passing
-	// would have handled them; found by the conformance campaign on
-	// doubled chains, DESIGN.md §7). Both then reshape away from each
-	// other and would stretch their shared edge beyond a chain edge.
-	// Every runner hop on such an edge is suppressed, like any other hop
-	// conflict; the runs advance without reshaping this round.
-	//
-	// The scan runs to a fixpoint because a suppression changes the edges
-	// around the now-static robot: with three or more adjacent runners, a
-	// pair validated with both hops applied must be re-validated once a
-	// later suppression stops one of them. Termination: every pass that
-	// reports a change deletes at least one hop. At the fixpoint all
-	// edges are legal — an edge with a live runner hop was verified
-	// against the neighbour's effective hop; a lone reshapement hop next
-	// to static neighbours lands on the diagonal between them (legal by
-	// the operation's geometry); merge-pattern edges are legal by pattern
-	// geometry and their neighbours are participants (no runner or start
-	// hops); and adjacent corner starts are geometrically impossible.
-	//
-	// The FSYNC scan therefore only needs to inspect runner hops. Under a
-	// partial activation set those geometric guarantees are gone — a merge
-	// hop can sit next to a sleeping black of its own pattern, a start hop
-	// next to a frozen neighbour FSYNC would have moved — so the non-FSYNC
-	// branch below runs the same fixpoint over EVERY hop, retracting the
-	// counter of whichever class the suppressed hop belonged to. The two
-	// branches are kept separate so the FSYNC path stays byte-identical.
-	if active == nil {
-		for changed := true; changed; {
-			changed = false
-			for _, r := range sc.hops.Keys() {
-				if !sc.runnerHop.Has(r) {
-					continue
-				}
-				h, ok := sc.hops.Get(r)
-				if !ok {
-					continue // already suppressed
-				}
-				for _, dir := range [2]int{+1, -1} {
-					nb := a.ch.Next(r)
-					if dir < 0 {
-						nb = a.ch.Prev(r)
-					}
-					nh, _ := sc.hops.Get(nb) // zero when static or suppressed
-					after := a.ch.PosOf(nb).Add(nh).Sub(a.ch.PosOf(r).Add(h))
-					if after.IsChainEdge() {
-						continue
-					}
-					sc.hops.Delete(r)
-					rep.RunnerHops--
-					if sc.runnerHop.Has(nb) && sc.hops.Has(nb) {
-						sc.hops.Delete(nb)
-						rep.RunnerHops--
-					}
-					a.anomalies.HopConflicts++
-					changed = true
-					break
-				}
-			}
+	// Edge-conflict suppression (DESIGN.md §3.6), one rule for every
+	// activation set: runners put back to back by merge splices, and under
+	// partial activation merge or start hops next to sleeping robots, would
+	// break an edge. Each suppressed hop leaves the counter of its class
+	// (disjoint: merge participants host no surviving run decisions, and
+	// start hops are dropped on robots that already hop) and counts one
+	// hop conflict.
+	for _, r := range sc.guard.suppressIllegalHops(a.ch, &sc.hops) {
+		switch {
+		case sc.runnerHop.Has(r):
+			rep.RunnerHops--
+		case sc.startHops.Has(r):
+			rep.StartHops--
+		default:
+			rep.MergeHops--
 		}
-	} else {
-		// retract suppresses r's hop and takes it back out of the counter
-		// of its class. The classes are disjoint by construction: merge
-		// participants host no surviving run decisions, and start hops are
-		// dropped on robots that already hop.
-		retract := func(r chain.Handle) {
-			sc.hops.Delete(r)
-			switch {
-			case sc.runnerHop.Has(r):
-				rep.RunnerHops--
-			case sc.startHops.Has(r):
-				rep.StartHops--
-			default:
-				rep.MergeHops--
-			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, r := range sc.hops.Keys() {
-				h, ok := sc.hops.Get(r)
-				if !ok {
-					continue // already suppressed
-				}
-				for _, dir := range [2]int{+1, -1} {
-					nb := a.ch.Next(r)
-					if dir < 0 {
-						nb = a.ch.Prev(r)
-					}
-					nh, _ := sc.hops.Get(nb) // zero when static, sleeping, or suppressed
-					after := a.ch.PosOf(nb).Add(nh).Sub(a.ch.PosOf(r).Add(h))
-					if after.IsChainEdge() {
-						continue
-					}
-					retract(r)
-					a.anomalies.HopConflicts++
-					changed = true
-					break
-				}
-			}
-		}
+		a.anomalies.HopConflicts++
 	}
 	sc.moved = sc.moved[:0]
 	if err := a.kernelMove(0, len(sc.hops.Keys())); err != nil {

@@ -28,7 +28,8 @@ type Strategy interface {
 	// Step executes one fully synchronous round.
 	Step() (RoundReport, error)
 	// StepActivated executes one round in which only the robots whose
-	// ring index is marked true act; nil means every robot (FSYNC).
+	// ring index is marked true act; nil means every robot (FSYNC), and a
+	// set of any length but the chain's is an error.
 	StepActivated(active []bool) (RoundReport, error)
 	// Runs returns the active run states for instrumentation and the
 	// engine's occupancy audit; strategies without a run machinery

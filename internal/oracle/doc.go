@@ -35,4 +35,8 @@
 // schedule-driven invariant battery minus the paper-only invariants,
 // with the same watchdog semantics — an FSYNC expiry is a liveness
 // divergence, non-FSYNC budget exhaustion a clean DNF.
+//
+// CheckAllAwake checks a law across activation models instead of two
+// backends: FSYNC is the set with every robot awake, so sim.Gather under
+// FSYNC and under random:p=1 must return identical Results (DESIGN.md §8).
 package oracle

@@ -37,6 +37,8 @@ const fuzzMaxStepsSched = 192
 // decoding. The model knows nothing about checkpoints — any
 // checkpoint-codec infidelity (state dropped, distorted or smuggled
 // through a mid-run snapshot/restore) surfaces as a lockstep divergence.
+// Under FSYNC the input must also satisfy oracle.CheckAllAwake: the same
+// Result under random:p=1, which wakes every robot through a drawn set.
 // On a divergence the failing chain is shrunk (under the same config,
 // scheduler, strategy and checkpoint round) and printed as a
 // ready-to-paste seed.
@@ -70,10 +72,16 @@ func FuzzEngineVsOracle(f *testing.F) {
 			t.Skip() // only the empty input
 		}
 		cfg := oracle.ConfigFromByte(cfgSel)
-		if _, err := oracle.CheckWithOptions(cfg, ch, opts); err != nil {
+		check := func(c *chain.Chain) error {
+			_, err := oracle.CheckWithOptions(cfg, c, opts)
+			if err == nil && opts.Sched.Kind == sched.FSYNC {
+				err = oracle.CheckAllAwake(cfg, c, opts.Strategy)
+			}
+			return err
+		}
+		if err := check(ch); err != nil {
 			minimal := oracle.Shrink(ch.Positions(), func(c *chain.Chain) bool {
-				_, serr := oracle.CheckWithOptions(cfg, c, opts)
-				return serr != nil
+				return check(c) != nil
 			})
 			t.Fatalf("conformance failure (cfg %+v, sched %s, strategy %s, ckpt@%d): %v\nshrunk witness:\n%s",
 				cfg, opts.Sched, opts.Strategy, opts.CheckpointRound, err, oracle.FormatSeed(minimal))

@@ -690,8 +690,8 @@ func activeAt(active []bool, i int) bool {
 // StepActivated executes one round under a partial activation set, the
 // model's re-implementation of core.Algorithm.StepActivated: sleeping
 // robots (by ring index) keep their position, start nothing, skip their
-// merge hops, and freeze their hosted runs; under any partial set the
-// edge-legality fixpoint covers every hop class. A nil set is FSYNC.
+// merge hops, and freeze their hosted runs. A nil set is FSYNC and runs
+// exactly like a set with every entry true.
 func (m *Model) StepActivated(active []bool) (core.RoundReport, error) {
 	rep := core.RoundReport{Round: m.round}
 	if m.Gathered() {
@@ -807,72 +807,38 @@ func (m *Model) StepActivated(active []bool) (core.RoundReport, error) {
 		hopOrder = append(hopOrder, r)
 		rep.StartHops++
 	}
-	// Edge-conflict suppression to a fixpoint, mirroring the engine:
-	// back-to-back runs across one jog (run hosts teleport along merge
-	// survivor links) would reshape apart and break their shared edge;
-	// every runner hop on an illegal edge is suppressed, and the scan
-	// repeats because a suppression changes the edges around the
-	// now-static robot. Under FSYNC only runner hops need checking; under
-	// a partial activation set the fixpoint covers every hop class, again
-	// mirroring the engine (core.Algorithm.StepActivated).
-	if active == nil {
-		for changed := true; changed; {
-			changed = false
-			for _, r := range hopOrder {
-				if !runnerHop[r] {
-					continue
-				}
-				h, ok := hops[r]
-				if !ok {
-					continue // already suppressed
-				}
-				for _, nb := range [2]*node{r.next, r.prev} {
-					nh := hops[nb] // zero when static or suppressed
-					if after := nb.pos.Add(nh).Sub(r.pos.Add(h)); after.IsChainEdge() {
-						continue
-					}
-					delete(hops, r)
-					rep.RunnerHops--
-					if _, live := hops[nb]; runnerHop[nb] && live {
-						delete(hops, nb)
-						rep.RunnerHops--
-					}
-					m.anomalies.HopConflicts++
-					changed = true
-					break
-				}
+	// Edge-conflict suppression, written edge-first: mark both endpoints
+	// of every ring edge the live hops would make illegal, delete the
+	// marked hops together, and repeat until every edge is legal. The rule
+	// is the same for every activation set and every hop class; a deleted
+	// hop leaves the counter of its class and counts one hop conflict.
+	for suppressed := true; suppressed; {
+		nodes := m.ring()
+		marked := make([]bool, len(nodes))
+		for i, nd := range nodes {
+			j := (i + 1) % len(nodes)
+			nx := nodes[j]
+			if !nx.pos.Add(hops[nx]).Sub(nd.pos.Add(hops[nd])).IsChainEdge() {
+				marked[i], marked[j] = true, true
 			}
 		}
-	} else {
-		retract := func(r *node) {
-			delete(hops, r)
+		suppressed = false
+		for i, nd := range nodes {
+			if _, live := hops[nd]; !marked[i] || !live {
+				continue
+			}
+			delete(hops, nd)
+			_, start := startHops[nd]
 			switch {
-			case runnerHop[r]:
+			case runnerHop[nd]:
 				rep.RunnerHops--
-			case func() bool { _, ok := startHops[r]; return ok }():
+			case start:
 				rep.StartHops--
 			default:
 				rep.MergeHops--
 			}
-		}
-		for changed := true; changed; {
-			changed = false
-			for _, r := range hopOrder {
-				h, ok := hops[r]
-				if !ok {
-					continue // already suppressed
-				}
-				for _, nb := range [2]*node{r.next, r.prev} {
-					nh := hops[nb] // zero when static, sleeping, or suppressed
-					if after := nb.pos.Add(nh).Sub(r.pos.Add(h)); after.IsChainEdge() {
-						continue
-					}
-					retract(r)
-					m.anomalies.HopConflicts++
-					changed = true
-					break
-				}
-			}
+			m.anomalies.HopConflicts++
+			suppressed = true
 		}
 	}
 	var moved []*node

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 
 	"gridgather/internal/chain"
 	"gridgather/internal/core"
 	"gridgather/internal/grid"
 	"gridgather/internal/sched"
+	"gridgather/internal/sim"
 )
 
 // Divergence is a disagreement between the fast engine and the naive
@@ -208,16 +210,7 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 		// One scheduler, one activation set, both backends: the lockstep
 		// compares the engine and the model on identical rounds, never the
 		// scheduler against itself.
-		var active []bool
-		if !fullySync {
-			n := alg.Chain().Len()
-			if cap(activeBuf) < n {
-				activeBuf = make([]bool, n)
-			}
-			activeBuf = activeBuf[:n]
-			schd.Activate(round, activeBuf)
-			active = activeBuf
-		}
+		active := activation(schd, round, alg.Chain().Len(), &activeBuf)
 
 		st.PrevBounds = alg.Chain().Bounds()
 		eRep, eErr := alg.StepActivated(active)
@@ -252,6 +245,35 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 			st.LastMergeRound = round
 		}
 	}
+}
+
+// activation draws the round's activation set for n robots into buf, or
+// returns nil under a fully synchronous scheduler, as sim.Engine does.
+func activation(schd sched.Scheduler, round, n int, buf *[]bool) []bool {
+	if schd.FullySync() {
+		return nil
+	}
+	*buf = slices.Grow((*buf)[:0], n)[:n]
+	schd.Activate(round, *buf)
+	return *buf
+}
+
+// CheckAllAwake checks that FSYNC is the activation set with every robot
+// awake (DESIGN.md §8): sim.Gather of the seed under FSYNC and under
+// random:p=1, which wakes every robot through a drawn set, must return
+// identical Results and errors. The stall detector runs only in the
+// second, so it shows as a mismatch if it ends that run. The seed chain
+// is not modified.
+func CheckAllAwake(cfg core.Config, seed *chain.Chain, strategy core.StrategyName) error {
+	var runs [2]string
+	for i, sc := range []sched.Config{{}, {Kind: sched.Random, P: 1}} {
+		res, err := sim.Gather(seed.Clone(), sim.Options{Config: cfg, Strategy: strategy, Sched: sc})
+		runs[i] = fmt.Sprintf("%+v (error: %s)", res, errString(err))
+	}
+	if runs[0] != runs[1] {
+		return fmt.Errorf("oracle: FSYNC and random:p=1 runs differ:\n  fsync:      %s\n  random:p=1: %s", runs[0], runs[1])
+	}
+	return nil
 }
 
 // roundTripStrategy pushes a strategy and its chain through the checkpoint

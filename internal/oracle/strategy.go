@@ -93,16 +93,7 @@ func checkStrategy(cfg core.Config, seed *chain.Chain, opts Options) (Result, er
 			st.Chain = strat.Chain()
 		}
 
-		var active []bool
-		if !fullySync {
-			n := strat.Chain().Len()
-			if cap(activeBuf) < n {
-				activeBuf = make([]bool, n)
-			}
-			activeBuf = activeBuf[:n]
-			schd.Activate(round, activeBuf)
-			active = activeBuf
-		}
+		active := activation(schd, round, strat.Chain().Len(), &activeBuf)
 
 		st.PrevBounds = strat.Chain().Bounds()
 		rep, err := strat.StepActivated(active)

@@ -11,8 +11,8 @@
 // their run state frozen (their stale positions remain visible to active
 // neighbours). Four models are built in:
 //
-//   - FSYNC — every robot, every round (the paper's model; the engine's
-//     fast path stays byte-identical to the pre-scheduler implementation);
+//   - FSYNC — every robot, every round (the paper's model; the engine
+//     passes no set, which strategies step exactly like an all-true one);
 //   - RoundRobin — deterministic SSYNC: a contiguous window of
 //     ceil(n/K) chain indices, sliding one index per round (contiguity
 //     and the unit stride are both livelock-critical; see the Kind

@@ -198,9 +198,11 @@ type Scheduler interface {
 	// Name returns the canonical description of the scheduler (the
 	// Config.String form it was built from).
 	Name() string
-	// FullySync reports whether every robot is activated in every round.
-	// The engine uses it to keep the FSYNC fast path byte-identical to the
-	// pre-scheduler implementation.
+	// FullySync reports whether every robot is activated in every round
+	// by construction (fsync, rr:1; random:p=1 draws its rounds). The
+	// engine then passes nil, which every strategy steps exactly like an
+	// all-true set, and skips the draw, its checkpoint record and the
+	// stall detector.
 	FullySync() bool
 	// MinActivationRate returns a positive lower bound (expected, for
 	// Random) on the long-run fraction of rounds each robot is activated

@@ -61,7 +61,7 @@ type Checkpoint struct {
 	// advance math/rand state that cannot be serialised directly, but the
 	// Scheduler contract (internal/sched) makes that state a pure function
 	// of the (round, length) call sequence — Restore replays the sequence
-	// and lands on the identical state. Empty on the FSYNC fast path.
+	// and lands on the identical state. Empty under FSYNC.
 	SchedLens []int `json:"schedLens,omitempty"`
 
 	// Result is the accounting accumulated so far (an honest partial

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"gridgather/internal/chain"
+	"gridgather/internal/core"
 	"gridgather/internal/generate"
 	"gridgather/internal/sched"
 	"gridgather/internal/sim"
@@ -42,6 +43,50 @@ func TestFSYNCSchedulerByteIdentical(t *testing.T) {
 				t.Errorf("explicit FSYNC diverged from the default path:\n%s\nvs\n%s", a, b)
 			}
 		})
+	}
+}
+
+// backToBackWitness is internal/oracle's TestBackToBackRunsRegression
+// chain (generate.FromBytes): at V=9, L=17, MaxMergeLen=8 merge splices
+// put two runs back to back on one jog in round 3, and the edge-conflict
+// fixpoint suppresses both reshapement hops.
+const backToBackWitness = "\x01\x01\x01\x02\x02\x01\x02\x03\x01\x02\x03\x02\x02\x03\x03\x03\x02\x02\x03\x03\x01\x01\x01\x02\x02\x01\x02\x03\x02\x01\x02\x03\x03\x03\x01\x03\x03\x03\x03\x01\x01\x01\x01\x00\x01\x00\x01\x01\x01\x00\x00\x00\x00\x00\x01\x01\x00\x00\x01\x00\x00\x01\x00\x01\x01\x01\x00\x00\x03\x03\x00\x01\x03\x00\x03\x03\x03\x03\x03\x01\x01\x02\x03\x02\x02\x03\x03\x03\x00\x03\x02\x03"
+
+// TestFSYNCEqualsAllAwake pins the activation law on the witness where the
+// edge-conflict fixpoint fires under full activation: FSYNC is the set
+// with every robot awake, so Gather under fsync and under random:p=1, which
+// wakes every robot through the partial-activation path, return identical
+// Results — both ends of the back-to-back edge suppressed, one hop
+// conflict each.
+func TestFSYNCEqualsAllAwake(t *testing.T) {
+	ch, err := generate.FromBytes([]byte(backToBackWitness))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{ViewingPathLength: 9, RunPeriod: 17, MaxMergeLen: 8}
+	gather := func(flag string) (sim.Result, []byte) {
+		sc, err := sched.Parse(flag)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Gather(ch.Clone(), sim.Options{Config: cfg, Sched: sc, CheckInvariants: true})
+		if err != nil {
+			t.Fatalf("%s: %v", flag, err)
+		}
+		b, err := json.Marshal(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, b
+	}
+	res, fsync := gather("fsync")
+	_, awake := gather("random:p=1")
+	if string(fsync) != string(awake) {
+		t.Fatalf("FSYNC and all-awake Results differ:\nfsync:      %s\nrandom:p=1: %s", fsync, awake)
+	}
+	if res.Rounds != 10 || res.TotalRunnerHops != 0 || res.TotalMergeHops != 140 || res.Anomalies.HopConflicts != 2 {
+		t.Errorf("witness moved: rounds %d, runner hops %d, merge hops %d, hop conflicts %d; want 10, 0, 140, 2",
+			res.Rounds, res.TotalRunnerHops, res.TotalMergeHops, res.Anomalies.HopConflicts)
 	}
 }
 

@@ -47,8 +47,9 @@ type Options struct {
 	Observer Observer
 	// Sched selects the activation model (internal/sched): which robots
 	// perform their look–compute–move cycle in which round. The zero
-	// value is FSYNC — every robot every round, the paper's model — and
-	// keeps the engine on its byte-identical fast path. Non-FSYNC
+	// value is FSYNC — every robot every round, the paper's model: the
+	// engine passes nil, which strategies step exactly like an all-true
+	// set, and draws, records and stall-checks nothing. Non-FSYNC
 	// schedulers scale the default watchdog limit by the inverse of the
 	// scheduler's minimum activation rate.
 	Sched sched.Config
@@ -238,13 +239,13 @@ type Engine struct {
 	tracker *pairTracker
 
 	// sched is the activation model; activeBuf is the per-round activation
-	// set it fills (nil-passed to the algorithm on the FSYNC fast path).
+	// set it fills (nil under FSYNC).
 	sched     sched.Scheduler
 	activeBuf []bool
 	// schedLens records, for every executed non-FSYNC round, the chain
 	// length its activation set was drawn for; replaying Activate over it
 	// rebuilds the scheduler's RNG state exactly (checkpoint.go). Always
-	// empty on the FSYNC fast path.
+	// empty under FSYNC.
 	schedLens []int
 	// broken poisons the engine after a recovered strategy panic: every
 	// further Step returns the same *PanicError and Checkpoint refuses, so
@@ -258,9 +259,9 @@ type Engine struct {
 	// the inverse activation rate — the next Step returns ErrStalled: the
 	// simulation is at a fixpoint partial activation cannot leave, and
 	// spinning to the watchdog limit would only burn wall-clock on the
-	// same DNF. Always zero on the FSYNC fast path, where a no-progress
-	// round already implies a permanent fixpoint handled by the watchdog
-	// (and asserted against by the FSYNC liveness proofs).
+	// same DNF. Always zero under FSYNC, where a no-progress round
+	// already implies a permanent fixpoint handled by the watchdog (and
+	// asserted against by the FSYNC liveness proofs).
 	stallStreak int
 	// prevPos and occupancy are per-round scratch for the invariant
 	// checks: flat per-handle tables with O(1) generation clearing
@@ -326,7 +327,7 @@ func NewEngine(ch *chain.Chain, opts Options) (*Engine, error) {
 // and the verdict stays reproducible because their activation streams are
 // seeded. Saturates like limit().
 func (e *Engine) stallWindow() int {
-	if e.sched == nil || e.sched.FullySync() {
+	if e.sched.FullySync() {
 		return math.MaxInt
 	}
 	cycle := e.res.InitialLen
@@ -345,9 +346,9 @@ func (e *Engine) stallWindow() int {
 
 // noteProgress feeds the stall detector after an executed round: progress
 // is any hop, any merge, a chain-length change or a bounding-box change.
-// Non-FSYNC only; the FSYNC fast path never touches the streak.
+// Non-FSYNC only; FSYNC never touches the streak.
 func (e *Engine) noteProgress(rep core.RoundReport, lenBefore int, boundsBefore grid.Box) {
-	if e.sched == nil || e.sched.FullySync() {
+	if e.sched.FullySync() {
 		return
 	}
 	if rep.RunnerHops+rep.MergeHops+rep.StartHops > 0 || rep.Merges() > 0 ||
@@ -391,7 +392,7 @@ func (e *Engine) limit() int {
 		return e.opts.MaxRounds
 	}
 	base := satAdd(satMul(e.opts.WatchdogFactor, e.res.InitialLen), e.opts.WatchdogSlack)
-	if e.sched != nil && !e.sched.FullySync() {
+	if !e.sched.FullySync() {
 		if rate := e.sched.MinActivationRate(e.res.InitialLen); rate > 0 && rate < 1 {
 			if scaled := math.Ceil(float64(base) / rate); scaled < math.MaxInt {
 				base = int(scaled)
@@ -563,10 +564,10 @@ func (e *Engine) account(rep core.RoundReport) {
 }
 
 // activate asks the scheduler for this round's activation set, reusing the
-// engine's buffer. The FSYNC fast path returns nil: the algorithm then
-// takes its pre-scheduler code path unchanged (and allocation-free).
+// engine's buffer. Under FSYNC it returns nil, which the strategy steps
+// exactly like an all-true set, without drawing or recording one.
 func (e *Engine) activate() []bool {
-	if e.sched == nil || e.sched.FullySync() {
+	if e.sched.FullySync() {
 		return nil
 	}
 	n := e.Chain().Len()
