@@ -90,6 +90,7 @@ func BenchmarkLinTimeGatherSquare(b *testing.B) {
 // bench trajectory pins the same bodies (internal/benchdefs).
 func BenchmarkKernelMergeScan(b *testing.B) {
 	b.Run("n=4096", benchdefs.KernelMergeScan4096)
+	b.Run("n=4096/round=2000", benchdefs.KernelMergeScanMidGather4096)
 }
 
 func BenchmarkKernelDecide(b *testing.B) {
@@ -99,6 +100,7 @@ func BenchmarkKernelDecide(b *testing.B) {
 
 func BenchmarkKernelStartScan(b *testing.B) {
 	b.Run("n=4096", benchdefs.KernelStartScan4096)
+	b.Run("n=4096/round=2000", benchdefs.KernelStartScanMidGather4096)
 }
 
 // BenchmarkTheorem1GatherSpiral — experiment E1 on spirals (the classic

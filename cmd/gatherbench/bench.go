@@ -36,9 +36,11 @@ func pinnedBenchmarks(label string) (*benchio.Report, error) {
 		{"PlanMergesReuse/n=4096", benchdefs.PlanMergesReuse4096},
 		{"ResolveMergesSeeded/n=4096", benchdefs.ResolveMergesSeeded4096},
 		{"KernelMergeScan/n=4096", benchdefs.KernelMergeScan4096},
+		{"KernelMergeScan/n=4096/round=2000", benchdefs.KernelMergeScanMidGather4096},
 		{"KernelDecide/n=4096", benchdefs.KernelDecide4096},
 		{"KernelDecide/n=4096/round=2000", benchdefs.KernelDecideMidGather4096},
 		{"KernelStartScan/n=4096", benchdefs.KernelStartScan4096},
+		{"KernelStartScan/n=4096/round=2000", benchdefs.KernelStartScanMidGather4096},
 		{"ParallelHarness/quickE1", benchdefs.ParallelHarnessQuickE1},
 		{"ServeCacheHit/body=identical", benchdefs.ServeCacheHit},
 		{"ServeCacheHit/body=respelled", benchdefs.ServeCacheHitRespelled},

@@ -128,6 +128,22 @@ func KernelMergeScan4096(b *testing.B) {
 	}
 }
 
+// KernelMergeScanMidGather4096 is the merge-scan kernel on the 4096
+// square at round 2000 of its gather (steppedSquare4096): a chain of long
+// straight sides and short staircases, the shape the scan meets through
+// most of a gather, where it skips straight stretches eight edges per
+// compare. KernelMergeScan4096's tangled walk changes direction at most
+// edges and shows the scan's other end.
+func KernelMergeScanMidGather4096(b *testing.B) {
+	alg := steppedSquare4096(b, 2000)
+	n := alg.Chain().Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alg.KernelMergeScan(0, 0, n)
+	}
+}
+
 // KernelDecide4096 measures the run-decision kernel over the live run
 // registry of a 4096-robot square that has stepped past its first
 // run-start round: each op recomputes every run's Table 1 decision against
@@ -179,7 +195,22 @@ func KernelStartScan4096(b *testing.B) {
 	}
 }
 
-// steppedSquare4096 builds the KernelDecide workload: the 4096 square
+// KernelStartScanMidGather4096 is KernelStartScan4096 at round 2000 of
+// the same gather (steppedSquare4096), with its live runs in the run mask
+// and counts: where the fresh square has four corners, the mid-gather
+// chain has its staircases, and the scan skips the straight stretches
+// between them.
+func KernelStartScanMidGather4096(b *testing.B) {
+	alg := steppedSquare4096(b, 2000)
+	n := alg.Chain().Len()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		alg.KernelStartScan(0, 0, n)
+	}
+}
+
+// steppedSquare4096 builds the mid-gather kernel workloads: the 4096 square
 // stepped for the given number of rounds, with the look-phase state (ring
 // caches, merge plan) refreshed so the kernel reads a consistent round.
 // The rounds must end past a run-start round with one quiet round after

@@ -129,9 +129,9 @@ func refApproachingRunAt(a *Algorithm, s *posView, k, dir int) *Run {
 	if !s.HasRunTowards(k) {
 		return nil
 	}
-	hr, _ := a.byHandle.Get(s.Robot(k))
-	for _, r := range hr.stored() {
-		if r.Dir == -dir && !r.justStarted {
+	h := s.Robot(k)
+	for _, r := range a.runs {
+		if r.Host == h && r.Dir == -dir && !r.justStarted {
 			return r
 		}
 	}

@@ -32,7 +32,7 @@ func (a *Algorithm) KernelMergeScan(_, lo, hi int) {
 		panic(fmt.Sprintf("core: injected kernel panic (round %d)", a.round))
 	}
 	sc := &a.scratch
-	sc.spikes, sc.uturns = appendMergeScan(sc.spikes[:0], sc.uturns[:0], a.ch, a.cfg.MaxMergeLen, lo, hi)
+	sc.spikes, sc.uturns = appendMergeScan(sc.spikes[:0], sc.uturns[:0], a.ch.EdgeCodes(), a.cfg.MaxMergeLen, lo, hi)
 }
 
 // CombineMergePlan folds the KernelMergeScan buffers into the round's
@@ -45,12 +45,13 @@ func (a *Algorithm) CombineMergePlan() error {
 	return plan.finish(a.ch, a.activeFault() != FaultSkipSpikePriority)
 }
 
-// KernelDecide computes the run decisions for registry slots [lo, hi) of
-// a.runs against the frozen look-phase state. Runs whose host sleeps this
-// round are frozen (non-FSYNC schedulers).
+// KernelDecide computes the run decisions for slots [lo, hi) of a.runs
+// against the frozen look-phase state. Runs whose host sleeps this round
+// are frozen (non-FSYNC schedulers); a nil activation set wakes every
+// host, so only a given set costs a host lookup here.
 //
-// Kernel contract: reads chain, merge plan, run registry and run mask;
-// writes only the decisions buffer (reset on entry, one decision per slot,
+// Kernel contract: reads chain, merge plan, runs and run mask; writes
+// only the decisions buffer (reset on entry, one decision per slot,
 // written in place) and adds to the round's anomaly counters, which
 // StepActivated resets when the round begins. The run mask is the one the
 // previous round (or InjectRun, or a restore) left, so a standalone call
@@ -60,7 +61,7 @@ func (a *Algorithm) KernelDecide(_, lo, hi int) {
 	sc.decisions = slices.Grow(sc.decisions[:0], hi-lo)[:hi-lo]
 	for i, run := range a.runs[lo:hi] {
 		d := &sc.decisions[i]
-		if !activeAt(a.active, a.ch.IndexOf(run.Host)) {
+		if a.active != nil && !activeAt(a.active, a.ch.IndexOf(run.Host)) {
 			*d = runDecision{run: run, frozen: true}
 			continue
 		}
@@ -73,8 +74,12 @@ func (a *Algorithm) KernelDecide(_, lo, hi int) {
 // round gating and the SequentialRuns ablation are the driver's business;
 // the kernel always scans.
 //
+// Both Fig 5 patterns stand on a corner, where the edge code changes
+// (DetectStart's first test), so the scan skips straight stretches eight
+// edges per compare (nextTurn) before it looks at a robot.
+//
 // Kernel contract: reads the edge codes and handles, merge plan, run
-// registry and run mask; writes only the pending list and the start-hop
+// counts and run mask; writes only the pending list and the start-hop
 // table (both reset on entry), in chain order.
 func (a *Algorithm) KernelStartScan(_, lo, hi int) {
 	sc := &a.scratch
@@ -83,6 +88,11 @@ func (a *Algorithm) KernelStartScan(_, lo, hi int) {
 	var s view.Snapshot
 	edges, order := a.ch.EdgeCodes(), a.ch.Handles()
 	for i := lo; i < hi; i++ {
+		if i > 0 && edges[i] == edges[i-1] {
+			if i = nextTurn(edges, i+1, hi); i == hi {
+				break
+			}
+		}
 		if !activeAt(a.active, i) {
 			continue // sleeping robots look at nothing and start nothing
 		}
@@ -95,7 +105,7 @@ func (a *Algorithm) KernelStartScan(_, lo, hi int) {
 		if !ok {
 			continue
 		}
-		if hr, _ := a.byHandle.Get(r); hr.n+len(spec.Dirs) > 2 {
+		if int(a.runCount[i])+len(spec.Dirs) > 2 {
 			continue // a robot stores at most two run states
 		}
 		for _, dir := range spec.Dirs {

@@ -86,10 +86,17 @@ func (lt *LinTime) Step() (RoundReport, error) { return lt.StepActivated(nil) }
 // Contraction hops are reported as RunnerHops: the "robots that moved to
 // make progress" column of every consumer keeps one meaning across
 // strategies (merge and start hops stay zero — there are no patterns and
-// no runs).
+// no runs). Stepping a gathered chain is a no-op, as the Strategy contract
+// requires: the gathered report comes before the length check and before
+// the round counter moves.
 func (lt *LinTime) StepActivated(active []bool) (RoundReport, error) {
 	ch := lt.ch
 	rep := RoundReport{Round: lt.round}
+	if ch.Gathered() {
+		rep.ChainLen = ch.Len()
+		rep.Gathered = true
+		return rep, nil
+	}
 	if active != nil && len(active) != ch.Len() {
 		return rep, fmt.Errorf("core: activation set has %d entries for %d robots", len(active), ch.Len())
 	}

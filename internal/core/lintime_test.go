@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -290,5 +291,50 @@ func TestLinTimeReportShape(t *testing.T) {
 	}
 	if rep.ChainLen != lt.Chain().Len() {
 		t.Fatalf("ChainLen %d != chain %d", rep.ChainLen, lt.Chain().Len())
+	}
+}
+
+// TestGatheredStepIsNoOp pins the Strategy rule for a gathered chain: for
+// both strategies, stepping it under any activation set (nil, all-true,
+// all-false, or one of the wrong length) reports Gathered with the
+// chain's length, returns no error and consumes no round.
+func TestGatheredStepIsNoOp(t *testing.T) {
+	sets := []struct {
+		name   string
+		active []bool
+	}{
+		{"nil", nil},
+		{"all", []bool{true, true, true, true}},
+		{"none", []bool{false, false, false, false}},
+		{"short", []bool{true}},
+		{"long", make([]bool, 9)},
+	}
+	for _, name := range []StrategyName{StrategyPaper, StrategyLinTime} {
+		for _, set := range sets {
+			t.Run(name.String()+"/"+set.name, func(t *testing.T) {
+				// The 2x2 ring: four robots, already gathered.
+				ch := mustChain(t, grid.V(0, 0), grid.V(1, 0), grid.V(1, 1), grid.V(0, 1))
+				st, err := NewStrategy(name, ch, DefaultConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !st.Gathered() {
+					t.Fatal("the 2x2 ring is not gathered")
+				}
+				for step := 0; step < 2; step++ {
+					rep, err := st.StepActivated(set.active)
+					if err != nil {
+						t.Fatalf("step %d: %v", step, err)
+					}
+					want := RoundReport{ChainLen: 4, Gathered: true}
+					if !reflect.DeepEqual(rep, want) {
+						t.Fatalf("step %d reported %+v, want %+v", step, rep, want)
+					}
+					if st.Round() != 0 {
+						t.Fatalf("step %d: Round() = %d, want 0", step, st.Round())
+					}
+				}
+			})
+		}
 	}
 }

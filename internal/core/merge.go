@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gridgather/internal/chain"
 	"gridgather/internal/grid"
+	"gridgather/internal/view"
 )
 
 // MergePattern is one instance of the paper's merge operation (Fig 2): a
@@ -47,59 +49,99 @@ func (p MergePattern) WhiteAfter() int { return p.FirstBlack + p.Len }
 // each robot's local detection: every pattern it reports lies within the
 // view of each of its participants.
 func DetectMerges(ch *chain.Chain, maxLen int) []MergePattern {
-	spikes, uturns := appendMergeScan(nil, nil, ch, maxLen, 0, ch.Len())
+	spikes, uturns := appendMergeScan(nil, nil, ch.EdgeCodes(), maxLen, 0, ch.Len())
 	return append(spikes, uturns...)
 }
 
-// appendMergeScan is the merge-pattern scan: it appends the patterns whose
-// first black robot lies at chain index [lo, hi) to spikes (k=1 direction
-// reversals) and uturns (straight k>=2 runs flanked by an anti-parallel
-// perpendicular edge pair), each in ascending chain order. The engine runs
-// it through KernelMergeScan; DetectMerges and MergePlan.Plan run it over
-// [0, n).
+// appendMergeScan is the merge-pattern scan over a chain's edge codes
+// (chain.EdgeCodes, edges[i] the edge from robot i to robot i+1): it
+// appends the patterns whose first black robot lies at chain index
+// [lo, hi) to spikes (k=1 direction reversals) and uturns (straight k>=2
+// runs flanked by an anti-parallel perpendicular edge pair), each in
+// ascending chain order. The engine runs it through KernelMergeScan;
+// DetectMerges and MergePlan.Plan run it over [0, n).
 //
 // A U-turn starting near hi is scanned past it, so a pattern straddling a
 // range boundary belongs to the range holding its first black. The probe
 // caps at maxLen edges: a longer run is rejected whatever its true extent,
 // which bounds that overlap at O(maxLen) without changing any outcome.
-func appendMergeScan(spikes, uturns []MergePattern, ch *chain.Chain, maxLen, lo, hi int) ([]MergePattern, []MergePattern) {
-	n := ch.Len()
+//
+// Both patterns begin where the edge code changes (a spike reverses it, a
+// U-turn's run differs from the edge before it), so the scan moves from
+// one change to the next: a run's probe, eight edges per compare wherever
+// it does not wrap the ring (nextTurn), tells where the next one is, and
+// a straight stretch longer than the probe is skipped the same way.
+func appendMergeScan(spikes, uturns []MergePattern, edges []grid.EdgeCode, maxLen, lo, hi int) ([]MergePattern, []MergePattern) {
+	n := len(edges)
 	if n < 3 || lo >= hi {
 		return spikes, uturns
 	}
-	// Read the chain's edge codes, as view.Snapshot does: one byte per
-	// edge, streamed; cur is edge i, prev edge i-1.
-	edges := ch.EdgeCodes()
+	// cur is edge i, prev edge i-1.
 	prev := edges[chain.WrapIndex(lo-1, n)]
-	for i := lo; i < hi; i++ {
+	for i := lo; i < hi; {
 		cur := edges[i]
+		if cur == prev {
+			// Inside a straight stretch (at lo, or past a run the probe
+			// capped): resume where it ends, with prev still its edge.
+			i = nextTurn(edges, i+1, hi)
+			continue
+		}
 		if prev.IsUnit() && cur == prev.Neg() {
 			spikes = append(spikes, MergePattern{FirstBlack: i, Len: 1, Hop: cur.Vec()})
 		}
-		if cur != prev {
-			// Edge i starts a maximal straight run (a closed chain has at
-			// least two direction changes, so the scan always terminates).
-			// after is the edge that ends the run; it is read only when
-			// the run ends short of maxLen.
-			l := 1
-			var after grid.EdgeCode
+		// Edge i starts a maximal straight run (a closed chain has at least
+		// two direction changes, so the probe always terminates). l is its
+		// length capped at maxLen, and after the edge that ends it, read
+		// only when the run ends short of maxLen. A run of one edge, the
+		// common case on a tangled chain, costs one byte read.
+		l := 1
+		var after grid.EdgeCode
+		if end := i + maxLen; end <= n {
+			j := i + 1
+			if j < end && edges[j] == cur {
+				j = nextTurn(edges, j+1, end)
+			}
+			if l = j - i; l < maxLen {
+				after = edges[j]
+			}
+		} else {
 			for l < maxLen {
 				if after = edges[chain.WrapIndex(i+l, n)]; after != cur {
 					break
 				}
 				l++
 			}
-			// l == maxLen means k = l+1 > maxLen whatever the run's true
-			// length; below it l is the exact maximal run length.
-			if k := l + 1; l < maxLen && k+2 <= n {
-				if after.IsUnit() && after == prev.Neg() && after.Perp(cur) {
-					uturns = append(uturns, MergePattern{FirstBlack: i, Len: k, Hop: after.Vec()})
-				}
+		}
+		// l == maxLen means k = l+1 > maxLen whatever the run's true
+		// length; below it l is the exact maximal run length.
+		if k := l + 1; l < maxLen && k+2 <= n {
+			if after.IsUnit() && after == prev.Neg() && after.Perp(cur) {
+				uturns = append(uturns, MergePattern{FirstBlack: i, Len: k, Hop: after.Vec()})
 			}
 		}
+		// The run's other edges repeat cur, so no pattern starts there:
+		// the scan goes on where the probe stopped.
 		prev = cur
+		i += l
 	}
 	return spikes, uturns
+}
+
+// nextTurn returns the first index j in [i, end) at which the edge code
+// changes, edges[j] != edges[j-1], or end when the stretch is straight to
+// there (1 <= i, end <= len(edges)). It compares the words at edges[j:]
+// and edges[j-1:], eight edges per compare, and jumps to the first byte
+// that differs; the last edges before end are read one by one.
+func nextTurn(edges []grid.EdgeCode, i, end int) int {
+	for ; i+8 <= end; i += 8 {
+		if x := view.Word(edges, i) ^ view.Word(edges, i-1); x != 0 {
+			return i + bits.TrailingZeros64(x)/8
+		}
+	}
+	for i < end && edges[i] == edges[i-1] {
+		i++
+	}
+	return i
 }
 
 // MergePlan aggregates the simultaneous execution of all detected merge
@@ -167,7 +209,7 @@ func (p *MergePlan) Empty() bool { return len(p.Patterns) == 0 }
 // the same axis to one robot, which the pattern geometry rules out; the
 // check guards the implementation, not the model.
 func (plan *MergePlan) Plan(ch *chain.Chain, maxLen int) error {
-	plan.Patterns, plan.uturns = appendMergeScan(plan.Patterns[:0], plan.uturns[:0], ch, maxLen, 0, ch.Len())
+	plan.Patterns, plan.uturns = appendMergeScan(plan.Patterns[:0], plan.uturns[:0], ch.EdgeCodes(), maxLen, 0, ch.Len())
 	plan.Patterns = append(plan.Patterns, plan.uturns...)
 	return plan.finish(ch, true)
 }

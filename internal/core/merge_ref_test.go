@@ -94,7 +94,7 @@ func checkMergeScan(t testing.TB, c *chain.Chain, label string) {
 		for _, p := range []int{1, 2, 5} {
 			for w := 0; w < p; w++ {
 				lo, hi := w*n/p, (w+1)*n/p
-				gotS, gotU := appendMergeScan(nil, nil, c, maxLen, lo, hi)
+				gotS, gotU := appendMergeScan(nil, nil, c.EdgeCodes(), maxLen, lo, hi)
 				wantS, wantU := refMergeScan(nil, nil, pos, maxLen, lo, hi)
 				if fmt.Sprint(gotS, gotU) != fmt.Sprint(wantS, wantU) {
 					t.Fatalf("%s: merge scan maxLen=%d chunk [%d,%d) = %v %v, position reference %v %v",

@@ -153,14 +153,14 @@ type lineScan struct {
 // deviation (a perpendicular double edge, a straight group of one edge
 // strictly inside, a reversal or switchback) marks the endpoint.
 //
-// The edges are streamed through one view.Ray, checked once at its
-// farthest offset, not buffered: each group is judged as soon as its
-// verdict is known (on its first edge, on a repeated jog edge, or when it
-// closes) and the parse stops at the first deviation. The cost is the
-// length of the quasi line seen, whatever the viewing range, and the scan
-// allocates nothing — which keeps the unbounded-view pair walk
-// (pairStarts) as cheap as a robot's own look. The first group is the
-// straight run AlignedAhead counts, so the count comes with the parse.
+// Most windows in front of a run are one unit edge repeated to the
+// horizon, and their result is known without a parse: the first group
+// spans the window and may continue beyond it, so the line is aligned to
+// the horizon, no endpoint is in view, and no tail follows (runsTo <=
+// maxEdges). scanLine checks that case first, in two word compares of the
+// edge codes and two of the run mask where the window does not wrap
+// (view.Snapshot.Straight, RunsAhead), and parses every other window
+// edge by edge (parseLine).
 //
 // runsTo > 0 makes the same pass read the run mask of every robot it
 // reaches, recording the first run moving away and the first moving
@@ -169,6 +169,26 @@ type lineScan struct {
 // run's decision (computeRunDecision), which never look farther than the
 // endpoint or that offset.
 func scanLine(s *view.Snapshot, d, maxEdges, runsTo int, l *lineScan) {
+	if maxEdges >= 2 && s.Straight(d, maxEdges) {
+		*l = lineScan{lead: s.Edge(0, d), trail: s.Edge(0, -d), aligned: maxEdges}
+		if runsTo > 0 {
+			l.away, l.towards = s.RunsAhead(d, maxEdges)
+		}
+		return
+	}
+	parseLine(s, d, maxEdges, runsTo, l)
+}
+
+// parseLine is scanLine's byte parser, which judges any window. The edges
+// are streamed through one view.Ray, checked once at its farthest offset,
+// not buffered: each group is judged as soon as its verdict is known (on
+// its first edge, on a repeated jog edge, or when it closes) and the parse
+// stops at the first deviation. The cost is the length of the quasi line
+// seen, whatever the viewing range, and the scan allocates nothing —
+// which keeps the unbounded-view pair walk (pairStarts) as cheap as a
+// robot's own look. The first group is the straight run AlignedAhead
+// counts, so the count comes with the parse.
+func parseLine(s *view.Snapshot, d, maxEdges, runsTo int, l *lineScan) {
 	*l = lineScan{lead: s.Edge(0, d), trail: s.Edge(0, -d)}
 	if maxEdges < 2 {
 		// A two-robot chain: no quasi line to parse, one edge to read.

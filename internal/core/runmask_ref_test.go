@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,33 +11,42 @@ import (
 	"gridgather/internal/view"
 )
 
-// The look phase reads run states from the ring-indexed run mask
-// (indexRuns). It replaced a per-robot lookup in the run registry; that
-// lookup is kept here, verbatim in spirit, as the test-only reference the
-// mask must equal for every robot at every round.
+// The look phase reads run states from the ring-indexed run mask and the
+// start scan's two-run cap from the ring-indexed run count (indexRuns).
+// Both replaced a per-robot run registry; the references below read the
+// runs themselves, host by host, and the tables must equal them for every
+// robot at every round.
 
-// refRunBits is the registry lookup the mask replaced: the directions of
-// the runs the registry lists on robot h that a look phase may see (not
-// started this round), as mask bits.
+// refRunBits is the lookup the mask replaced: the directions of the runs
+// hosted on robot h that a look phase may see (not started this round), as
+// mask bits.
 func refRunBits(a *Algorithm, h chain.Handle) uint8 {
-	hr, ok := a.byHandle.Get(h)
-	if !ok {
-		return 0
-	}
 	var bits uint8
-	for _, run := range hr.stored() {
-		if !run.justStarted {
+	for _, run := range a.runs {
+		if run.Host == h && !run.justStarted {
 			bits |= view.RunBit(run.Dir)
 		}
 	}
 	return bits
 }
 
-// checkRunMask compares the mask with the reference at every ring index,
-// in the state the next look phase decides in: StepActivated clears the
-// just-started flags before it decides, and so does this check (which
-// changes nothing the next Step would see). It returns the number of runs
-// the mask carried.
+// refRunCount is the number of runs hosted on robot h, saturated as the
+// ring count is.
+func refRunCount(a *Algorithm, h chain.Handle) uint8 {
+	count := 0
+	for _, run := range a.runs {
+		if run.Host == h {
+			count++
+		}
+	}
+	return uint8(min(count, math.MaxUint8))
+}
+
+// checkRunMask compares the mask and the run counts with the references at
+// every ring index, in the state the next look phase decides in:
+// StepActivated clears the just-started flags before it decides, and so
+// does this check (which changes nothing the next Step would see). It
+// returns the number of runs the mask carried.
 func checkRunMask(t testing.TB, a *Algorithm, label string) int {
 	t.Helper()
 	for _, run := range a.runs {
@@ -44,7 +54,11 @@ func checkRunMask(t testing.TB, a *Algorithm, label string) int {
 	}
 	for i, h := range a.ch.Handles() {
 		if got, want := a.runMask[i], refRunBits(a, h); got != want {
-			t.Fatalf("%s round %d: run mask at index %d (robot %d) is %02b, registry %02b",
+			t.Fatalf("%s round %d: run mask at index %d (robot %d) is %02b, runs say %02b",
+				label, a.round, i, h, got, want)
+		}
+		if got, want := a.runCount[i], refRunCount(a, h); got != want {
+			t.Fatalf("%s round %d: run count at index %d (robot %d) is %d, runs say %d",
 				label, a.round, i, h, got, want)
 		}
 	}
@@ -128,8 +142,8 @@ type labeledChain struct {
 // and a seeded random:p=0.5.
 var lookScheds = []sched.Config{{}, {Kind: sched.Random, P: 0.5, Seed: 7}}
 
-// TestRunMaskMatchesRegistry holds the run mask to the registry lookup on
-// seeded paper gathers of squares, polyominoes, spirals, walks and
+// TestRunMaskMatchesRegistry holds the run mask and the run counts to the
+// per-host lookups over the runs on seeded paper gathers of squares, polyominoes, spirals, walks and
 // generate.FromBytes chains, under FSYNC and random:p=0.5 activation.
 func TestRunMaskMatchesRegistry(t *testing.T) {
 	checked := 0

@@ -140,8 +140,8 @@ func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan
 
 	// Run passing trigger: an approaching run within distance 3 (checked
 	// before continuing operation (b)/(c) — passing interrupts them,
-	// Fig 14). The pass found the first robot showing one; the registry
-	// names the run.
+	// Fig 14). The pass found the first robot showing one; the runs name
+	// the run.
 	for j := l.towards; l.towards != 0 && j <= trigger; j++ {
 		partner := a.approachingRunAt(&s, j*dir, dir)
 		if partner == nil {
@@ -204,16 +204,17 @@ func (a *Algorithm) computeRunDecision(d *runDecision, run *Run, plan *MergePlan
 }
 
 // approachingRunAt returns a run on the robot at view offset k moving
-// towards the observer (direction opposite to dir), or nil. The run mask
-// answers the common "none" case; only a set bit consults the registry
-// for the run itself.
+// towards the observer (direction opposite to dir), or nil: the first such
+// run in a.runs order. The run mask answers the common "none" case; only a
+// set bit scans the runs for the run itself, a few times a round on the
+// gathers measured (DESIGN.md §9).
 func (a *Algorithm) approachingRunAt(s *view.Snapshot, k, dir int) *Run {
 	if !s.HasRunTowards(k) {
 		return nil
 	}
-	hr, _ := a.byHandle.Get(s.Robot(k))
-	for _, r := range hr.stored() {
-		if r.Dir == -dir && !r.justStarted {
+	h := s.Robot(k)
+	for _, r := range a.runs {
+		if r.Host == h && r.Dir == -dir && !r.justStarted {
 			return r
 		}
 	}

@@ -128,8 +128,8 @@ func RestoreStrategy(name StrategyName, ch *chain.Chain, cfg Config, snap Strate
 }
 
 // restore loads the snapshot into a freshly constructed Algorithm,
-// rebuilding the per-host registry and the run mask the same way the
-// end-of-round rebuild does.
+// rebuilding the run mask and the run counts the same way the end-of-round
+// rebuild does.
 func (a *Algorithm) restore(snap StrategySnapshot) error {
 	nh := a.ch.NumHandles()
 	for i := range snap.Runs {

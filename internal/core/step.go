@@ -2,36 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"gridgather/internal/chain"
 	"gridgather/internal/grid"
 	"gridgather/internal/view"
 )
-
-// hostRuns is the per-robot run registry entry: a fixed-capacity slot array
-// instead of a heap slice, so the registry rebuild at the end of every round
-// allocates nothing. A robot stores at most two run states (the paper's
-// constant-memory bound); the engine's hard invariant rejects more than
-// three, so four slots cover every state the simulator can reach. Should a
-// defensive path ever overflow them, the count keeps the truth (the
-// occupancy audit flags it) and only the excess pointers are dropped.
-type hostRuns struct {
-	n    int // true number of hosted runs (may exceed the stored slots)
-	runs [4]*Run
-}
-
-// add records a run on the host, dropping the pointer if all slots are full.
-func (h *hostRuns) add(r *Run) {
-	if h.n < len(h.runs) {
-		h.runs[h.n] = r
-	}
-	h.n++
-}
-
-// stored returns the retained run pointers.
-func (h *hostRuns) stored() []*Run {
-	return h.runs[:min(h.n, len(h.runs))]
-}
 
 // stepScratch is the Algorithm's reusable per-round working state. Every
 // table and slice is cleared (not re-made) at the start of the phase using
@@ -39,9 +15,9 @@ func (h *hostRuns) stored() []*Run {
 // DESIGN.md §5 for the reuse rules. The per-robot tables are flat
 // chain.Scratch slices indexed by handle with O(1) generation clearing —
 // no pointer-keyed maps remain on the hot path (DESIGN.md §6). Nothing
-// here survives a round as meaningful state — the chain, the run registry
-// and the round counter are the only true state of the algorithm, which is
-// why scratch reuse cannot affect determinism.
+// here survives a round as meaningful state — the chain, the runs and the
+// round counter are the only true state of the algorithm, which is why
+// scratch reuse cannot affect determinism.
 type stepScratch struct {
 	// spikes and uturns are KernelMergeScan's output (spikes (k=1) and
 	// U-turns (k>=2), each in ascending chain order), which
@@ -64,19 +40,20 @@ type stepScratch struct {
 }
 
 // Algorithm executes the paper's gathering strategy on one chain. It owns
-// the run registry and advances the configuration one FSYNC round per Step
-// call, performing for every robot the three checks of Fig 15: merge, run
+// the runs and advances the configuration one FSYNC round per Step call,
+// performing for every robot the three checks of Fig 15: merge, run
 // operations, and (every L-th round) run starts.
 type Algorithm struct {
-	cfg      Config
-	ch       *chain.Chain
-	runs     []*Run
-	byHandle chain.Scratch[hostRuns]
+	cfg  Config
+	ch   *chain.Chain
+	runs []*Run
 	// runMask is the ring-indexed run-direction mask the look phase reads
-	// (view.RunBit per hosted run), and runMaskSet the indices its last
-	// build set, so the next build clears it in O(#runs). Both are
-	// rebuilt with byHandle by indexRuns.
+	// (view.RunBit per hosted run), runCount the number of runs each
+	// robot hosts (saturating at 255; only "more than two" matters), and
+	// runMaskSet the indices the last build set, so the next build clears
+	// both in O(#runs). indexRuns rebuilds all three.
 	runMask    []uint8
+	runCount   []uint8
 	runMaskSet []int32
 	round      int
 	nextRun    int
@@ -112,16 +89,15 @@ func New(ch *chain.Chain, cfg Config) (*Algorithm, error) {
 		return nil, err
 	}
 	a := &Algorithm{
-		cfg:     cfg,
-		ch:      ch,
-		runMask: make([]uint8, ch.Len()), // chains only shrink
-		plan:    NewMergePlan(),
+		cfg:      cfg,
+		ch:       ch,
+		runMask:  make([]uint8, ch.Len()), // chains only shrink
+		runCount: make([]uint8, ch.Len()),
+		plan:     NewMergePlan(),
 		scratch: stepScratch{
 			pairKey: make(map[[2]int]int),
 		},
 	}
-	// Size the per-handle tables once; every later Reset is O(1).
-	a.byHandle.Reset(ch.NumHandles())
 	return a, nil
 }
 
@@ -224,30 +200,29 @@ func (a *Algorithm) InjectRun(idx, dir int) *Run {
 	return run
 }
 
-// indexRuns rebuilds the two lookups over a.runs that the next look phase
-// reads: the per-host registry (byHandle) and the ring-indexed
-// run-direction mask. Every listed run is visible to that look phase — it
-// clears the just-started flags before any decision — so the mask carries
-// them all. The mask is cleared at the indices its previous build set, not
-// swept, so a rebuild costs O(#runs). It runs at the end of every round,
-// in InjectRun and in restore, so a standalone kernel call between rounds
-// reads a current mask.
+// indexRuns rebuilds the two ring-indexed tables over a.runs that the
+// next look phase reads: the run-direction mask and the run count. Every
+// listed run is visible to that look phase — it clears the just-started
+// flags before any decision — so the mask carries them all. Both are
+// cleared at the indices their previous build set, not swept, so a
+// rebuild costs O(#runs). It runs at the end of every round, in InjectRun
+// and in restore, so a standalone kernel call between rounds reads
+// current tables.
 func (a *Algorithm) indexRuns() {
-	a.byHandle.Reset(a.ch.NumHandles())
 	for _, i := range a.runMaskSet {
-		a.runMask[i] = 0
+		a.runMask[i], a.runCount[i] = 0, 0
 	}
 	a.runMaskSet = a.runMaskSet[:0]
 	for _, run := range a.runs {
-		hr, _ := a.byHandle.Get(run.Host)
-		hr.add(run)
-		a.byHandle.Set(run.Host, hr)
 		i := a.ch.IndexOf(run.Host)
 		if i < 0 {
 			continue // off the chain: the next decide terminates the run
 		}
-		if a.runMask[i] == 0 {
+		if a.runCount[i] == 0 {
 			a.runMaskSet = append(a.runMaskSet, int32(i))
+		}
+		if a.runCount[i] < math.MaxUint8 {
+			a.runCount[i]++
 		}
 		a.runMask[i] |= view.RunBit(run.Dir)
 	}
@@ -475,12 +450,11 @@ func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	sc.starts = starts
 	rep.Starts = starts
 
-	// Rebuild the run registry and mask, and audit occupancy. The O(1)
-	// generation reset drops the previous round's entries, so robots
-	// removed by merges are not retained.
+	// Rebuild the run mask and counts, and audit occupancy: every run is
+	// hosted on the chain by now, so the counts cover them all.
 	a.indexRuns()
-	for _, h := range a.byHandle.Keys() {
-		if hr, ok := a.byHandle.Get(h); ok && hr.n > 2 {
+	for _, i := range a.runMaskSet {
+		if a.runCount[i] > 2 {
 			a.anomalies.TripleOccupancy++
 		}
 	}

@@ -29,7 +29,9 @@ type Strategy interface {
 	Step() (RoundReport, error)
 	// StepActivated executes one round in which only the robots whose
 	// ring index is marked true act; nil means every robot (FSYNC), and a
-	// set of any length but the chain's is an error.
+	// set of any length but the chain's is an error. Stepping a gathered
+	// chain is a no-op, whatever the set: it reports Gathered with the
+	// chain's length, consumes no round and checks nothing else.
 	StepActivated(active []bool) (RoundReport, error)
 	// Runs returns the active run states for instrumentation and the
 	// engine's occupancy audit; strategies without a run machinery

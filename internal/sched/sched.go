@@ -178,8 +178,7 @@ func Parse(s string) (Config, error) {
 			c.K, seenK = v, true
 		}
 	}
-	_, err := New(c)
-	return c, err
+	return c, c.Validate()
 }
 
 // Scheduler decides, round by round, which robots perform their
@@ -215,33 +214,51 @@ type Scheduler interface {
 	Activate(round int, active []bool)
 }
 
-// New builds a Scheduler from its description. Zero parameter fields take
-// the package defaults (K=3, P=0.5).
-func New(c Config) (Scheduler, error) {
+// Validate checks the description's parameters without building a
+// Scheduler (so without seeding a stochastic one): it returns exactly the
+// error New would. Zero parameter fields take the package defaults.
+func (c Config) Validate() error {
 	n := c.normalized()
 	switch c.Kind {
 	case FSYNC:
-		return fsync{}, nil
 	case RoundRobin:
 		if n.K < 1 {
-			return nil, fmt.Errorf("%w: rr cohort count %d (want >= 1)", ErrBadParam, n.K)
+			return fmt.Errorf("%w: rr cohort count %d (want >= 1)", ErrBadParam, n.K)
 		}
-		return &roundRobin{k: n.K}, nil
 	case BoundedAdversary:
 		if n.K < 1 {
-			return nil, fmt.Errorf("%w: bounded sleep bound %d (want >= 1)", ErrBadParam, n.K)
+			return fmt.Errorf("%w: bounded sleep bound %d (want >= 1)", ErrBadParam, n.K)
 		}
 		if n.P <= 0 || n.P > 1 {
-			return nil, fmt.Errorf("%w: bounded activation probability %g (want 0 < p <= 1)", ErrBadParam, n.P)
+			return fmt.Errorf("%w: bounded activation probability %g (want 0 < p <= 1)", ErrBadParam, n.P)
 		}
-		return &boundedAdversary{cfg: n, k: n.K, p: n.P, rng: rand.New(rand.NewSource(c.Seed))}, nil
 	case Random:
 		if n.P <= 0 || n.P > 1 {
-			return nil, fmt.Errorf("%w: random activation probability %g (want 0 < p <= 1)", ErrBadParam, n.P)
+			return fmt.Errorf("%w: random activation probability %g (want 0 < p <= 1)", ErrBadParam, n.P)
 		}
+	default:
+		return fmt.Errorf("%w: %d", ErrBadKind, c.Kind)
+	}
+	return nil
+}
+
+// New builds a Scheduler from its description (validated by
+// Config.Validate). Zero parameter fields take the package defaults (K=3,
+// P=0.5).
+func New(c Config) (Scheduler, error) {
+	if err := c.Validate(); err != nil {
+		return nil, err
+	}
+	n := c.normalized()
+	switch c.Kind {
+	case RoundRobin:
+		return &roundRobin{k: n.K}, nil
+	case BoundedAdversary:
+		return &boundedAdversary{cfg: n, k: n.K, p: n.P, rng: rand.New(rand.NewSource(c.Seed))}, nil
+	case Random:
 		return &random{cfg: n, p: n.P, rng: rand.New(rand.NewSource(c.Seed))}, nil
 	}
-	return nil, fmt.Errorf("%w: %d", ErrBadKind, c.Kind)
+	return fsync{}, nil
 }
 
 // fsync is the all-active scheduler.
@@ -313,13 +330,18 @@ func (s *boundedAdversary) Activate(round int, active []bool) {
 	}
 	s.sleeps = s.sleeps[:n]
 	for i := range active {
-		on := s.sleeps[i] >= s.k || s.rng.Float64() < s.p
+		// A robot that has slept k rounds wakes without a draw, which keeps
+		// the draw sequence. The streak update is a select, not a branch:
+		// it follows the coin flip, so a branch would mispredict about
+		// half the time.
+		sleeps := s.sleeps[i]
+		on := sleeps >= s.k || s.rng.Float64() < s.p
 		active[i] = on
+		next := sleeps + 1
 		if on {
-			s.sleeps[i] = 0
-		} else {
-			s.sleeps[i]++
+			next = 0
 		}
+		s.sleeps[i] = next
 	}
 }
 

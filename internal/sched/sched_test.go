@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -212,6 +213,33 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestValidateMatchesNew pins Config.Validate to New over valid and
+// invalid descriptions: the same error, sentinel included, and a nil
+// error exactly when New builds a scheduler.
+func TestValidateMatchesNew(t *testing.T) {
+	for _, c := range []Config{
+		{}, {Kind: RoundRobin}, {Kind: RoundRobin, K: 5}, {Kind: RoundRobin, K: -1},
+		{Kind: BoundedAdversary}, {Kind: BoundedAdversary, K: 2, P: 1, Seed: 3},
+		{Kind: BoundedAdversary, K: -2}, {Kind: BoundedAdversary, P: 1.5}, {Kind: BoundedAdversary, P: -0.5},
+		{Kind: Random}, {Kind: Random, P: 0.7, Seed: 9}, {Kind: Random, P: 2}, {Kind: Random, P: -1},
+		{Kind: Kind(9)},
+	} {
+		err := c.Validate()
+		s, newErr := New(c)
+		if fmt.Sprint(err) != fmt.Sprint(newErr) {
+			t.Errorf("%+v: Validate() = %v, New() = %v", c, err, newErr)
+		}
+		if (err == nil) != (s != nil) {
+			t.Errorf("%+v: Validate() = %v but New built %v", c, err, s)
+		}
+		for _, sentinel := range []error{ErrBadKind, ErrBadParam} {
+			if errors.Is(err, sentinel) != errors.Is(newErr, sentinel) {
+				t.Errorf("%+v: Validate() = %v and New() = %v differ on %v", c, err, newErr, sentinel)
+			}
+		}
+	}
+}
+
 // TestSchedulerNameIsCanonicalConfig pins the Name contract: Name returns
 // the Config.String form the scheduler was built from, so Parse(Name())
 // reconstructs an equivalent scheduler (seed included).
@@ -268,5 +296,20 @@ func TestKindString(t *testing.T) {
 		if got := fmt.Sprint(k); got != want {
 			t.Errorf("Kind(%d).String() = %q, want %q", k, got, want)
 		}
+	}
+}
+
+// BenchmarkBoundedAdversaryActivate times one 128-robot round of the
+// bounded adversary, the scheduler of the campaign's bounded items.
+func BenchmarkBoundedAdversaryActivate(b *testing.B) {
+	s, err := New(Config{Kind: BoundedAdversary, K: 3, P: 0.5, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	active := make([]bool, 128)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Activate(i, active)
 	}
 }

@@ -90,7 +90,7 @@ func (o Options) Validate() error {
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	if _, err := sched.New(o.Sched); err != nil {
+	if err := o.Sched.Validate(); err != nil {
 		return err
 	}
 	strat, err := core.ParseStrategy(string(o.Strategy))

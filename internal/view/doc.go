@@ -13,7 +13,9 @@
 // chain order, and a run mask carrying one bit per run direction for each
 // robot (RunsPlus, RunsMinus). A predicate that walks the window opens a
 // Ray, which checks its farthest offset once and then yields one edge code
-// and run-mask byte per robot with no call per edge. The snapshot
+// and run-mask byte per robot with no call per edge; Straight and
+// RunsAhead answer the common straight window eight bytes per load
+// (Word), behind the same one check. The snapshot
 // engineers the locality discipline: any attempt to look past the viewing
 // path length panics, so unit tests immediately catch rules that are not
 // local.

@@ -2,6 +2,7 @@ package view
 
 import (
 	"fmt"
+	"math/bits"
 
 	"gridgather/internal/chain"
 	"gridgather/internal/grid"
@@ -176,13 +177,19 @@ func (s *Snapshot) AlignedAhead(d int) int {
 	if maxScan < 1 {
 		return 0
 	}
-	r := s.Ahead(d, maxScan)
+	return s.aligned(d, maxScan)
+}
+
+// aligned counts the identical unit edges in front of the observer in
+// direction d, reading at most k of them through a Ray.
+func (s *Snapshot) aligned(d, k int) int {
+	r := s.Ahead(d, k)
 	first := r.Next()
 	if !first.IsUnit() {
 		return 0
 	}
 	count := 1
-	for count < maxScan && r.Next() == first {
+	for count < k && r.Next() == first {
 		count++
 	}
 	return count
@@ -247,6 +254,108 @@ func (r *Ray) Runs() (away, towards bool) {
 	}
 	m := r.runs[r.at]
 	return m&r.away != 0, m&^r.away != 0
+}
+
+// Word returns the eight ring entries b[i], …, b[i+7] packed into one
+// uint64, b[i] in the low byte; it panics unless all eight are in range.
+// It is the look phase's one word read, of edge codes and run-mask bytes
+// alike: the merge and start scans skip straight stretches eight edges per
+// compare, and Straight and RunsAhead read a window that does not wrap in
+// two overlapping loads each. The byte-wise form compiles to a single load
+// on the 64-bit targets Go optimises it for, and is portable elsewhere.
+func Word[T ~uint8](b []T, i int) uint64 {
+	b = b[i : i+8]
+	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
+		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
+}
+
+// bytes01 has a one in every byte: multiplying a byte by it repeats the
+// byte across a word.
+const bytes01 = 0x0101010101010101
+
+// Straight reports whether the k >= 1 edges in front of the observer in
+// chain direction d are one axis unit repeated: Edge(0, d) is a unit and
+// so is every edge up to the robot at offset kd, all equal to it. Like
+// Ahead it checks the farthest offset once, and it reads what a Ray over
+// Ahead(d, k) yields. Since Neg is a bijection, the oriented edges are all
+// equal exactly when their raw codes are, so a window of k >= 8 edges
+// that does not wrap the ring is compared in words, the last one
+// overlapping its predecessor (at most two loads for k <= 16); a wrapping
+// or shorter window is read edge by edge.
+func (s *Snapshot) Straight(d, k int) bool {
+	s.check(k * d)
+	lo := s.center // ring index of the window's first raw code
+	if d < 0 {
+		lo -= k
+	}
+	if k < 8 || lo < 0 || lo+k > s.n {
+		return s.aligned(d, k) == k
+	}
+	c := s.edges[lo]
+	w := uint64(c) * bytes01
+	for j := lo; j < lo+k-8; j += 8 {
+		if Word(s.edges, j) != w {
+			return false
+		}
+	}
+	return Word(s.edges, lo+k-8) == w && c.IsUnit()
+}
+
+// RunsAhead returns the first offsets j in 1..k whose robot, at offset
+// jd, carries a run moving away from the observer, and one moving towards
+// it; 0 when none does. It checks the farthest offset once, like Ahead,
+// and equals reading Runs after every Next of a Ray over Ahead(d, k). A
+// window of k >= 8 robots that does not wrap the ring is read in words
+// (ring order reversed for d = -1), the last one overlapping its
+// predecessor (at most two loads for k <= 16); a wrapping or shorter
+// window is read robot by robot.
+func (s *Snapshot) RunsAhead(d, k int) (away, towards int) {
+	s.check(k * d)
+	if s.runs == nil {
+		return 0, 0
+	}
+	lo := s.center + 1 // ring index of the window's lowest robot
+	if d < 0 {
+		lo = s.center - k
+	}
+	if k < 8 || lo < 0 || lo+k > s.n {
+		r := s.Ahead(d, k)
+		for j := 1; j <= k && (away == 0 || towards == 0); j++ {
+			r.Next()
+			a, t := r.Runs()
+			if a && away == 0 {
+				away = j
+			}
+			if t && towards == 0 {
+				towards = j
+			}
+		}
+		return away, towards
+	}
+	awayBits, towardsBits := uint64(RunBit(d))*bytes01, uint64(RunBit(-d))*bytes01
+	for base := 1; ; base += 8 {
+		// w holds offsets base..base+7, the nearest in the low byte; the
+		// last word overlaps its predecessor so as to end at offset k.
+		last := base+7 >= k
+		if last {
+			base = k - 7
+		}
+		var w uint64
+		if d > 0 {
+			w = Word(s.runs, s.center+base)
+		} else {
+			w = bits.ReverseBytes64(Word(s.runs, s.center-base-7))
+		}
+		if m := w & awayBits; m != 0 && away == 0 {
+			away = base + bits.TrailingZeros64(m)/8
+		}
+		if m := w & towardsBits; m != 0 && towards == 0 {
+			towards = base + bits.TrailingZeros64(m)/8
+		}
+		if last || (away != 0 && towards != 0) {
+			return away, towards
+		}
+	}
 }
 
 func sign(k int) int {

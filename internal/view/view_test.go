@@ -274,3 +274,168 @@ func TestRayLocality(t *testing.T) {
 		mustPanic("reading past the checked offset", func() { r.Next() })
 	}
 }
+
+// TestWord pins the word read: byte i+j of the slice lands in byte j of
+// the word, for edge codes and run-mask bytes alike, and a word reaching
+// past the slice panics.
+func TestWord(t *testing.T) {
+	b := []uint8{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
+	for i := 0; i+8 <= len(b); i++ {
+		var want uint64
+		for j := 7; j >= 0; j-- {
+			want = want<<8 | uint64(b[i+j])
+		}
+		if got := Word(b, i); got != want {
+			t.Errorf("Word(b, %d) = %#x, want %#x", i, got, want)
+		}
+	}
+	codes := []grid.EdgeCode{grid.EdgeEast, grid.EdgeNorth, grid.EdgeWest, grid.EdgeSouth, grid.EdgeZero, grid.EdgeOther, grid.EdgeEast, grid.EdgeEast}
+	if got, want := Word(codes, 0), uint64(0x0404_0800_0706_0504); got != want {
+		t.Errorf("Word(codes, 0) = %#x, want %#x", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a word past the slice must panic")
+		}
+	}()
+	Word(b, 3)
+}
+
+// rayStraight and rayRunsAhead are Straight and RunsAhead read edge by
+// edge through a Ray: the references the word reads must equal.
+func rayStraight(s *Snapshot, d, k int) bool {
+	r := s.Ahead(d, k)
+	first := r.Next()
+	ok := first.IsUnit()
+	for j := 1; j < k; j++ {
+		if r.Next() != first {
+			ok = false
+		}
+	}
+	return ok
+}
+
+func rayRunsAhead(s *Snapshot, d, k int) (away, towards int) {
+	r := s.Ahead(d, k)
+	for j := 1; j <= k; j++ {
+		r.Next()
+		a, tw := r.Runs()
+		if a && away == 0 {
+			away = j
+		}
+		if tw && towards == 0 {
+			towards = j
+		}
+	}
+	return away, towards
+}
+
+// TestStraightAndRunsAheadMatchRay holds the word reads to the Ray at
+// every centre, direction and window length the view allows, on rings
+// with long sides (straight windows inside the ring and across its ends),
+// short sides, and chains shorter than the window: under a nil mask, a
+// dense random mask, and masks with one run state placed so that it sits
+// at every offset in both directions.
+func TestStraightAndRunsAheadMatchRay(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	checked, straight := 0, 0
+	var chains []*chain.Chain
+	for _, dims := range [][2]int{{1, 1}, {3, 2}, {10, 10}, {25, 3}, {40, 1}} {
+		chains = append(chains, ring(t, dims[0], dims[1]))
+	}
+	// A 20x5 ring with a one-cell bump in its bottom side: windows whose
+	// first and last edges agree with a jog between them.
+	var bumped []grid.Vec
+	for x := 0; x <= 20; x++ {
+		bumped = append(bumped, grid.V(x, 0))
+		if x == 8 {
+			bumped = append(bumped, grid.V(8, 1), grid.V(9, 1))
+		}
+	}
+	for y := 1; y <= 5; y++ {
+		bumped = append(bumped, grid.V(20, y))
+	}
+	for x := 19; x >= 0; x-- {
+		bumped = append(bumped, grid.V(x, 5))
+	}
+	for y := 4; y >= 1; y-- {
+		bumped = append(bumped, grid.V(0, y))
+	}
+	c, err := chain.New(bumped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chains = append(chains, c)
+	for _, c := range chains {
+		n := c.Len()
+		dense := make([]uint8, n)
+		for i := range dense {
+			dense[i] = uint8(rng.Intn(4))
+		}
+		// One run state at index i meets every centre, so it sits at every
+		// offset of some window in both directions; i near the ring's ends
+		// puts it in wrapping windows, i inside in windows read in words.
+		masks := [][]uint8{nil, dense}
+		for _, i := range []int{0, 1, n / 3, n / 2, n - 2, n - 1} {
+			for _, bits := range []uint8{RunsPlus, RunsMinus, RunsPlus | RunsMinus} {
+				m := make([]uint8, n)
+				m[i] = bits
+				masks = append(masks, m)
+			}
+		}
+		for mi, mask := range masks {
+			for _, v := range []int{1, 3, 7, 8, 9, 11, 16, 17, 30, n - 1} {
+				if v < 1 {
+					continue
+				}
+				for center := 0; center < n; center++ {
+					s := at(c, center, v, mask)
+					for _, d := range [2]int{+1, -1} {
+						for k := 1; k <= v; k++ {
+							if mi == 0 {
+								got, want := s.Straight(d, k), rayStraight(s, d, k)
+								if got != want {
+									t.Fatalf("n=%d v=%d centre %d: Straight(%+d, %d) = %v, ray %v", n, v, center, d, k, got, want)
+								}
+								if got {
+									straight++
+								}
+							}
+							a, tw := s.RunsAhead(d, k)
+							wa, wt := rayRunsAhead(s, d, k)
+							if a != wa || tw != wt {
+								t.Fatalf("n=%d v=%d centre %d mask %d: RunsAhead(%+d, %d) = (%d, %d), ray (%d, %d)",
+									n, v, center, mi, d, k, a, tw, wa, wt)
+							}
+							checked++
+						}
+					}
+				}
+			}
+		}
+	}
+	if straight == 0 || checked < 100000 {
+		t.Fatalf("checked %d windows, %d straight: the battery lost its inputs", checked, straight)
+	}
+}
+
+// TestStraightAndRunsAheadLocality pins the word reads to the view's
+// locality rule: a window beyond V panics, in both directions.
+func TestStraightAndRunsAheadLocality(t *testing.T) {
+	s := at(ring(t, 30, 30), 40, 11, make([]uint8, 120))
+	for _, d := range [2]int{+1, -1} {
+		for name, f := range map[string]func(){
+			"Straight":  func() { s.Straight(d, 12) },
+			"RunsAhead": func() { s.RunsAhead(d, 12) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%+d, 12) beyond V = 11 must panic (non-local rule)", name, d)
+					}
+				}()
+				f()
+			}()
+		}
+	}
+}

@@ -226,7 +226,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("%w: scheds must not be empty", ErrBadSpec)
 	}
 	for i, c := range s.Scheds {
-		if _, err := sched.New(c.Sched); err != nil {
+		if err := c.Sched.Validate(); err != nil {
 			return fmt.Errorf("%w: scheds[%d]: %v", ErrBadSpec, i, err)
 		}
 		if err := checkWeight(c.Weight, fmt.Sprintf("scheds[%d]", i)); err != nil {
