@@ -3,54 +3,37 @@ package chaos
 import (
 	"context"
 	"fmt"
-	"math/rand"
 
 	"gridgather/internal/chain"
 	"gridgather/internal/core"
-	"gridgather/internal/generate"
 	"gridgather/internal/oracle"
-	"gridgather/internal/parallel"
 	"gridgather/internal/sched"
 	"gridgather/internal/sim"
 )
 
-// Scenario is one chaos experiment: a workload plus the faults to arm
-// against it. The zero values of the injection fields mean "no injection"
-// — a zero Scenario (plus a Build) is a clean control run.
+// Scenario is one chaos experiment: a workload plus the round at which to
+// cancel it. A zero Scenario (plus a Build) is a clean control run.
 type Scenario struct {
 	// Name labels the scenario in test output.
 	Name string
 	// Build produces the start configuration.
 	Build func() (*chain.Chain, error)
-	// Fault is the engine defect to arm (core.FaultNone for none), and
-	// FaultRound the round it activates from.
-	Fault      core.Fault
-	FaultRound int
 	// CancelRound, when positive, cancels the run's context once the
 	// engine reaches that round boundary.
 	CancelRound int
-	// CheckpointRound, when positive, pushes the strategy through the
-	// checkpoint codec mid-check (oracle.Options.CheckpointRound).
-	CheckpointRound int
 	// Sched is the activation model.
 	Sched sched.Config
 }
 
-// RunOracle runs the scenario through the conformance oracle with its
-// fault and checkpoint injections armed. For a wrong-answer fault the
-// caller expects a non-nil error (the oracle caught the defect); for a
-// clean scenario, nil.
-func RunOracle(s Scenario) error {
+// RunOracle builds the scenario's chain and runs the conformance oracle on
+// it under opts. For an armed model fault (opts.Fault) the caller expects
+// a non-nil error (the oracle caught the defect); for a clean check, nil.
+func RunOracle(s Scenario, opts oracle.Options) error {
 	ch, err := s.Build()
 	if err != nil {
 		return fmt.Errorf("chaos: build %s: %w", s.Name, err)
 	}
-	_, err = oracle.CheckWithOptions(core.DefaultConfig(), ch, oracle.Options{
-		Fault:           s.Fault,
-		FaultRound:      s.FaultRound,
-		CheckpointRound: s.CheckpointRound,
-		Sched:           s.Sched,
-	})
+	_, err = oracle.CheckWithOptions(core.DefaultConfig(), ch, opts)
 	return err
 }
 
@@ -78,46 +61,6 @@ func RunCancel(s Scenario) (sim.Result, error, *sim.Engine) {
 	}
 	res, err := e.RunContext(ctx)
 	return res, err, e
-}
-
-// CampaignCell is one cell of a chaos campaign: its index, the
-// deterministic seed that reproduces it (parallel.TaskSeed), and the error
-// it ended with (nil for a clean gather).
-type CampaignCell struct {
-	Index int
-	Seed  int64
-	Err   error
-}
-
-// PanicCampaign runs a cells-wide gathering campaign in draining mode
-// (parallel.ForEachAll): every cell simulates its own seeded random-walk
-// chain, and the armed cell's engine panics in its first round
-// (core.FaultPanic). Panic isolation holds when exactly the armed
-// cell reports an error — a *sim.PanicError, the contained form — and
-// every other cell still gathers; each cell carries its TaskSeed so any
-// failure is reproducible in isolation.
-func PanicCampaign(baseSeed int64, cells, armedCell, campaignWorkers int) []CampaignCell {
-	out := make([]CampaignCell, cells)
-	errs := parallel.ForEachAll(campaignWorkers, cells, func(i int) error {
-		seed := parallel.TaskSeed(baseSeed, i, 0)
-		ch, err := generate.RandomClosedWalk(24, rand.New(rand.NewSource(seed)))
-		if err != nil {
-			return err
-		}
-		e, err := sim.NewEngine(ch, sim.Options{})
-		if err != nil {
-			return err
-		}
-		if i == armedCell {
-			e.Algorithm().InjectFaultAt(core.FaultPanic, 1)
-		}
-		_, err = e.Run()
-		return err
-	})
-	for i := range out {
-		out[i] = CampaignCell{Index: i, Seed: parallel.TaskSeed(baseSeed, i, 0), Err: errs[i]}
-	}
-	return out
 }
 
 // FlipByte returns a copy of data with byte i inverted — the unit step of

@@ -10,8 +10,8 @@ import (
 	"testing"
 
 	"gridgather/internal/chain"
-	"gridgather/internal/core"
 	"gridgather/internal/generate"
+	"gridgather/internal/oracle"
 	"gridgather/internal/sched"
 	"gridgather/internal/sim"
 )
@@ -23,15 +23,16 @@ func walkBuilder(n int, seed int64) func() (*chain.Chain, error) {
 	}
 }
 
-// TestOracleCatchesArmedDefects arms every wrong-answer fault at several
-// rounds — including mid-run arming, where the defect only appears after
-// the engine has behaved correctly for a while — and requires the oracle
-// to catch each (fault, armRound) combination on at least one workload of
-// a fixed panel. Random walks gather in well under 13 rounds, so the
-// late-arm cases need long-contracting deterministic shapes (a spiral
-// keeps merging and spiking for ~99 rounds). The clean control (no fault,
-// with a mid-run checkpoint round-trip) must pass on every workload, so
-// the detector is sensitive without being trigger-happy.
+// TestOracleCatchesArmedDefects arms every wrong-answer fault in the
+// naive model at several rounds — including mid-run arming, where the
+// defect only appears after the model has behaved correctly for a while —
+// and requires the oracle to catch each (fault, armRound) combination on
+// at least one workload of a fixed panel. Random walks gather in well
+// under 13 rounds, so the late-arm cases need long-contracting
+// deterministic shapes (a spiral keeps merging and spiking for ~99
+// rounds). The clean control (no fault, with a mid-run checkpoint
+// round-trip) must pass on every workload, so the detector is sensitive
+// without being trigger-happy.
 func TestOracleCatchesArmedDefects(t *testing.T) {
 	panel := []struct {
 		name  string
@@ -41,17 +42,12 @@ func TestOracleCatchesArmedDefects(t *testing.T) {
 		{"comb_8x9x3", func() (*chain.Chain, error) { return generate.Comb(8, 9, 3) }},
 		{"walk_256_seed11", walkBuilder(256, 11)},
 	}
-	for _, fault := range []core.Fault{core.FaultSkipMergeResolution, core.FaultSkipSpikePriority} {
+	for _, fault := range []oracle.Fault{oracle.FaultSkipMergeResolution, oracle.FaultSkipSpikePriority} {
 		for _, armAt := range []int{0, 5, 13} {
 			t.Run(fault.String()+"@"+strconv.Itoa(armAt), func(t *testing.T) {
 				for _, w := range panel {
-					s := Scenario{
-						Name:       w.name,
-						Build:      w.build,
-						Fault:      fault,
-						FaultRound: armAt,
-					}
-					if err := RunOracle(s); err != nil {
+					s := Scenario{Name: w.name, Build: w.build}
+					if err := RunOracle(s, oracle.Options{Fault: fault, FaultRound: armAt}); err != nil {
 						return // caught
 					}
 				}
@@ -63,12 +59,8 @@ func TestOracleCatchesArmedDefects(t *testing.T) {
 	t.Run("clean control", func(t *testing.T) {
 		rng := rand.New(rand.NewSource(92))
 		for trial := 0; trial < 10; trial++ {
-			s := Scenario{
-				Name:            "control",
-				Build:           walkBuilder(40+2*rng.Intn(40), rng.Int63()),
-				CheckpointRound: 1 + trial*3,
-			}
-			if err := RunOracle(s); err != nil {
+			s := Scenario{Name: "control", Build: walkBuilder(40+2*rng.Intn(40), rng.Int63())}
+			if err := RunOracle(s, oracle.Options{CheckpointRound: 1 + trial*3}); err != nil {
 				t.Fatalf("clean scenario flagged: %v", err)
 			}
 		}
@@ -135,40 +127,6 @@ func TestCancellationNeverTears(t *testing.T) {
 					}
 				})
 			}
-		}
-	}
-}
-
-// TestPanicCampaignIsolation is the panic-containment acceptance battery:
-// in a 12-cell campaign whose fifth cell panics in its first round, exactly
-// that cell fails — as a contained *sim.PanicError carrying the failing
-// round — every other cell gathers, and the failing cell reports the
-// deterministic task seed that reproduces it in isolation.
-func TestPanicCampaignIsolation(t *testing.T) {
-	const (
-		cells = 12
-		armed = 5
-	)
-	cellsOut := PanicCampaign(77, cells, armed, 4)
-	if len(cellsOut) != cells {
-		t.Fatalf("campaign reported %d cells, want %d", len(cellsOut), cells)
-	}
-	for _, c := range cellsOut {
-		if c.Index == armed {
-			var pe *sim.PanicError
-			if !errors.As(c.Err, &pe) {
-				t.Fatalf("armed cell %d: got %v (%T), want *sim.PanicError", c.Index, c.Err, c.Err)
-			}
-			if pe.Round != 1 {
-				t.Fatalf("armed cell panicked in round %d, want 1", pe.Round)
-			}
-			if c.Seed == 0 {
-				t.Fatal("armed cell lost its reproduction seed")
-			}
-			continue
-		}
-		if c.Err != nil {
-			t.Errorf("cell %d (seed %d) failed although only cell %d was armed: %v", c.Index, c.Seed, armed, c.Err)
 		}
 	}
 }

@@ -28,9 +28,6 @@ import (
 // Kernel contract: reads the edge codes; writes only the spikes/uturns
 // buffers (reset on entry).
 func (a *Algorithm) KernelMergeScan(_, lo, hi int) {
-	if a.activeFault() == FaultPanic {
-		panic(fmt.Sprintf("core: injected kernel panic (round %d)", a.round))
-	}
 	sc := &a.scratch
 	sc.spikes, sc.uturns = appendMergeScan(sc.spikes[:0], sc.uturns[:0], a.ch.EdgeCodes(), a.cfg.MaxMergeLen, lo, hi)
 }
@@ -42,7 +39,7 @@ func (a *Algorithm) KernelMergeScan(_, lo, hi int) {
 func (a *Algorithm) CombineMergePlan() error {
 	plan := a.plan
 	plan.Patterns = append(append(plan.Patterns[:0], a.scratch.spikes...), a.scratch.uturns...)
-	return plan.finish(a.ch, a.activeFault() != FaultSkipSpikePriority)
+	return plan.finish(a.ch)
 }
 
 // KernelDecide computes the run decisions for slots [lo, hi) of a.runs
@@ -54,8 +51,8 @@ func (a *Algorithm) CombineMergePlan() error {
 // only the decisions buffer (reset on entry, one decision per slot,
 // written in place) and adds to the round's anomaly counters, which
 // StepActivated resets when the round begins. The run mask is the one the
-// previous round (or InjectRun, or a restore) left, so a standalone call
-// between rounds reads a current one.
+// previous round (or a restore) left, so a standalone call between rounds
+// reads a current one.
 func (a *Algorithm) KernelDecide(_, lo, hi int) {
 	sc := &a.scratch
 	sc.decisions = slices.Grow(sc.decisions[:0], hi-lo)[:hi-lo]
@@ -145,9 +142,6 @@ func (a *Algorithm) kernelMove(lo, hi int) error {
 // requires a mover, so seeding from the moved set finds every merge in
 // O(#moved + #merges) without rescanning the ring.
 func (a *Algorithm) kernelResolveMerges(lo, hi int) {
-	if a.activeFault() == FaultSkipMergeResolution {
-		return
-	}
 	sc := &a.scratch
 	sc.mergeEvents = a.ch.AppendResolveMergesAround(sc.mergeEvents, sc.moved[lo:hi])
 }

@@ -211,16 +211,14 @@ func (p *MergePlan) Empty() bool { return len(p.Patterns) == 0 }
 func (plan *MergePlan) Plan(ch *chain.Chain, maxLen int) error {
 	plan.Patterns, plan.uturns = appendMergeScan(plan.Patterns[:0], plan.uturns[:0], ch.EdgeCodes(), maxLen, 0, ch.Len())
 	plan.Patterns = append(plan.Patterns, plan.uturns...)
-	return plan.finish(ch, true)
+	return plan.finish(ch)
 }
 
 // finish turns the detected plan.Patterns into the executable plan:
 // spike-priority suppression, the participant set, and the combined
 // per-robot hops. It is the tail shared by Plan and the engine's
-// Algorithm.CombineMergePlan, which fills plan.Patterns itself. The algorithm's fault-injection
-// self-tests (FaultSkipSpikePriority) switch spikePriority off to prove
-// the conformance oracle notices.
-func (plan *MergePlan) finish(ch *chain.Chain, spikePriority bool) error {
+// Algorithm.CombineMergePlan, which fills plan.Patterns itself.
+func (plan *MergePlan) finish(ch *chain.Chain) error {
 	plan.Executing = plan.Executing[:0]
 	plan.Suppressed = 0
 	nh := ch.NumHandles()
@@ -239,7 +237,7 @@ func (plan *MergePlan) finish(ch *chain.Chain, spikePriority bool) error {
 		for j := 0; j < pat.Len; j++ {
 			plan.participants.Set(ch.At(pat.FirstBlack+j), struct{}{})
 		}
-		if pat.Len > 1 && spikePriority && plan.spikeWhites.Len() > 0 {
+		if pat.Len > 1 && plan.spikeWhites.Len() > 0 {
 			tainted := false
 			for j := 0; j < pat.Len; j++ {
 				if plan.spikeWhites.Has(ch.At(pat.FirstBlack + j)) {

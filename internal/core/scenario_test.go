@@ -36,6 +36,28 @@ func stepOK(t *testing.T, alg *Algorithm) RoundReport {
 	return rep
 }
 
+// InjectRun places a run on the robot at chain index idx moving in
+// direction dir (+1/-1), for tests that reproduce the paper's figures
+// with hand-placed runs; the paper's algorithm only creates runs through
+// the Fig 5 start patterns. The run acts from the next Step call on.
+func (a *Algorithm) InjectRun(idx, dir int) *Run {
+	host := a.ch.At(idx)
+	run := &Run{
+		ID:         a.nextRun,
+		Host:       host,
+		Dir:        dir,
+		StartRound: a.round,
+		Kind:       StartStairway,
+		OpOrigin:   chain.None,
+		OpTarget:   chain.None,
+		PassTarget: chain.None,
+	}
+	a.nextRun++
+	a.runs = append(a.runs, run)
+	a.indexRuns()
+	return run
+}
+
 // topRowLen counts robots on the given y level.
 func topRowLen(c *chain.Chain, y int) int {
 	n := 0

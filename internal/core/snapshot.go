@@ -42,11 +42,6 @@ type StrategySnapshot struct {
 	NextRun  int           `json:"nextRun,omitempty"`
 	NextPair int           `json:"nextPair,omitempty"`
 	Runs     []RunSnapshot `json:"runs,omitempty"`
-	// Fault and FaultFrom carry an armed self-test defect across the
-	// checkpoint boundary, so the conformance layer's checkpoint axis can
-	// round-trip fault-injected runs without losing the defect.
-	Fault     Fault `json:"fault,omitempty"`
-	FaultFrom int   `json:"faultFrom,omitempty"`
 }
 
 // ErrBadStrategySnapshot reports a strategy snapshot that is inconsistent
@@ -58,11 +53,9 @@ var ErrBadStrategySnapshot = errors.New("core: invalid strategy snapshot")
 // round counter and the run/pair ID wells.
 func (a *Algorithm) Snapshot() StrategySnapshot {
 	s := StrategySnapshot{
-		Round:     a.round,
-		NextRun:   a.nextRun,
-		NextPair:  a.nextPair,
-		Fault:     a.fault,
-		FaultFrom: a.faultFrom,
+		Round:    a.round,
+		NextRun:  a.nextRun,
+		NextPair: a.nextPair,
 	}
 	for _, r := range a.runs {
 		s.Runs = append(s.Runs, RunSnapshot{
@@ -98,9 +91,6 @@ func (lt *LinTime) Snapshot() StrategySnapshot {
 func RestoreStrategy(name StrategyName, ch *chain.Chain, cfg Config, snap StrategySnapshot) (Strategy, error) {
 	if snap.Round < 0 {
 		return nil, fmt.Errorf("%w: negative round %d", ErrBadStrategySnapshot, snap.Round)
-	}
-	if !snap.Fault.valid() {
-		return nil, fmt.Errorf("%w: unknown fault %d", ErrBadStrategySnapshot, int(snap.Fault))
 	}
 	switch name {
 	case StrategyPaper:
@@ -176,7 +166,5 @@ func (a *Algorithm) restore(snap StrategySnapshot) error {
 	a.round = snap.Round
 	a.nextRun = snap.NextRun
 	a.nextPair = snap.NextPair
-	a.fault = snap.Fault
-	a.faultFrom = snap.FaultFrom
 	return nil
 }

@@ -160,7 +160,6 @@ func TestRestoreStrategyRejectsCorruption(t *testing.T) {
 		mutate func(*StrategySnapshot)
 	}{
 		{"negative round", func(s *StrategySnapshot) { s.Round = -1 }},
-		{"unknown fault", func(s *StrategySnapshot) { s.Fault = Fault(99) }},
 		{"id beyond well", func(s *StrategySnapshot) { s.Runs[0].ID = s.NextRun }},
 		{"dead host", func(s *StrategySnapshot) { s.Runs[0].Host = chain.Handle(1 << 20) }},
 		{"zero dir", func(s *StrategySnapshot) { s.Runs[0].Dir = 0 }},
@@ -192,31 +191,4 @@ func TestRestoreStrategyRejectsCorruption(t *testing.T) {
 			t.Fatalf("got %v, want ErrBadStrategySnapshot", err)
 		}
 	})
-}
-
-// TestInjectFaultAt pins the arming round: rounds before it run clean,
-// rounds from it on see the fault, and a snapshot carries both across.
-func TestInjectFaultAt(t *testing.T) {
-	ch, err := generate.Spiral(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := New(ch, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a.InjectFaultAt(FaultSkipMergeResolution, 5)
-	for i := 0; i < 5; i++ {
-		if a.activeFault() != FaultNone {
-			t.Fatalf("round %d: fault active before arming round", a.Round())
-		}
-		stepOK(t, a)
-	}
-	if a.activeFault() != FaultSkipMergeResolution {
-		t.Fatalf("round %d: fault not active at arming round", a.Round())
-	}
-	snap := a.Snapshot()
-	if snap.Fault != FaultSkipMergeResolution || snap.FaultFrom != 5 {
-		t.Fatalf("snapshot lost the fault: %+v", snap)
-	}
 }

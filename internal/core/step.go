@@ -64,11 +64,6 @@ type Algorithm struct {
 	plan    *MergePlan
 	scratch stepScratch
 
-	// fault is the armed self-test defect (FaultNone in production) and
-	// faultFrom the round it takes effect from; see fault.go.
-	fault     Fault
-	faultFrom int
-
 	// anomalies accumulates defensive-path counts for the current round;
 	// Step moves them into the report.
 	anomalies Anomalies
@@ -177,37 +172,14 @@ func (a *Algorithm) pairStarts(pending []pendingStart) {
 	}
 }
 
-// InjectRun places a run on the robot at chain index idx moving in
-// direction dir (+1/-1). It exists for scenario tests and experiments that
-// reproduce the paper's figures with hand-placed runs; the paper's
-// algorithm only creates runs through the Fig 5 start patterns. The run
-// acts from the next Step call on.
-func (a *Algorithm) InjectRun(idx, dir int) *Run {
-	host := a.ch.At(idx)
-	run := &Run{
-		ID:         a.nextRun,
-		Host:       host,
-		Dir:        dir,
-		StartRound: a.round,
-		Kind:       StartStairway,
-		OpOrigin:   chain.None,
-		OpTarget:   chain.None,
-		PassTarget: chain.None,
-	}
-	a.nextRun++
-	a.runs = append(a.runs, run)
-	a.indexRuns()
-	return run
-}
-
 // indexRuns rebuilds the two ring-indexed tables over a.runs that the
 // next look phase reads: the run-direction mask and the run count. Every
 // listed run is visible to that look phase — it clears the just-started
 // flags before any decision — so the mask carries them all. Both are
 // cleared at the indices their previous build set, not swept, so a
-// rebuild costs O(#runs). It runs at the end of every round, in InjectRun
-// and in restore, so a standalone kernel call between rounds reads
-// current tables.
+// rebuild costs O(#runs). It runs at the end of every round and in
+// restore, so a standalone kernel call between rounds reads current
+// tables.
 func (a *Algorithm) indexRuns() {
 	for _, i := range a.runMaskSet {
 		a.runMask[i], a.runCount[i] = 0, 0

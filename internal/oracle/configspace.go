@@ -73,7 +73,7 @@ func SchedFromByte(sel uint8) sched.Config { return fuzzScheds[int(sel)%len(fuzz
 
 // The fuzzing strategy space: every registered strategy. The paper
 // strategy runs the full engine-vs-model lockstep; strategies without a
-// model mirror run the battery-plus-watchdog path (checkStrategy).
+// model mirror run the same loop with the battery and the watchdog only.
 var fuzzStrategies = []core.StrategyName{core.StrategyPaper, core.StrategyLinTime}
 
 // NumStrategies is the size of the fuzzing strategy space.

@@ -29,12 +29,13 @@
 // splicing, the edge codes and the run mask) is covered by a truly
 // independent implementation.
 //
-// The model speaks the paper's round semantics only, so Options.Strategy
-// forks the verification path (DESIGN.md §10): the paper strategy keeps
-// the full lockstep, while other strategies (lintime) run the
-// schedule-driven invariant battery minus the paper-only invariants,
-// with the same watchdog semantics — an FSYNC expiry is a liveness
-// divergence, non-FSYNC budget exhaustion a clean DNF.
+// CheckWithOptions runs one round loop for every strategy (DESIGN.md
+// §10). The model speaks the paper's round semantics only, so it steps
+// beside the paper strategy and is nil for the others (lintime), which
+// the same loop checks with the invariant battery minus the paper-only
+// invariants, under the same watchdog semantics — an FSYNC expiry is a
+// liveness divergence, non-FSYNC budget exhaustion a clean DNF. The
+// self-test defects (Fault) are armed in the model, never in the engine.
 //
 // CheckAllAwake checks a law across activation models instead of two
 // backends: FSYNC is the set with every robot awake, so sim.Gather under

@@ -123,14 +123,14 @@ func FuzzGenerateFamilies(f *testing.F) {
 }
 
 // TestInjectedBugShrinksSmall is the end-to-end acceptance self-test of
-// the conformance loop: inject a real engine bug (the skipped merge
-// resolution pass), let the fuzz-shaped search catch it, then shrink the
-// witness. The minimised chain must have at most 16 robots — small enough
+// the conformance loop: arm a real bug in the naive model (the skipped
+// merge resolution pass), let the fuzz-shaped search catch it, then
+// shrink the witness. The minimised chain must have at most 16 robots — small enough
 // to debug by hand.
 func TestInjectedBugShrinksSmall(t *testing.T) {
 	cfg := core.DefaultConfig()
 	failing := func(c *chain.Chain) bool {
-		_, err := oracle.CheckWithOptions(cfg, c, oracle.Options{Fault: core.FaultSkipMergeResolution})
+		_, err := oracle.CheckWithOptions(cfg, c, oracle.Options{Fault: oracle.FaultSkipMergeResolution})
 		return err != nil
 	}
 	rng := rand.New(rand.NewSource(62))

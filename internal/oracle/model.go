@@ -49,7 +49,51 @@ type Model struct {
 
 	// anomalies for the round being computed.
 	anomalies core.Anomalies
+
+	// fault is the defect CheckWithOptions armed (FaultNone outside the
+	// self-tests), and faultFrom the round it takes effect from.
+	fault     Fault
+	faultFrom int
 }
+
+// Fault selects a deliberate defect the naive model injects into its own
+// rounds, for the conformance self-tests: the oracle must catch an armed
+// fault, and the shrinker must reduce its witness to a handful of robots.
+// The lockstep comparison is symmetric, so a defect in the model is caught
+// at exactly the round the same defect in the engine would be. The zero
+// value is defect-free.
+type Fault int
+
+const (
+	// FaultNone runs the model unmodified.
+	FaultNone Fault = iota
+	// FaultSkipMergeResolution skips the post-move merge resolution pass:
+	// robots hop into co-location but are never spliced out of the ring,
+	// the paper's progress operation silently stops shortening the chain.
+	FaultSkipMergeResolution
+	// FaultSkipSpikePriority disables the spike-priority suppression rule
+	// (DESIGN.md §3.1): straight merge patterns whose blacks are the
+	// whites of an executing spike hop anyway, re-introducing the
+	// oscillation the rule exists to prevent.
+	FaultSkipSpikePriority
+)
+
+// String names the fault.
+func (f Fault) String() string {
+	switch f {
+	case FaultNone:
+		return "none"
+	case FaultSkipMergeResolution:
+		return "skip-merge-resolution"
+	case FaultSkipSpikePriority:
+		return "skip-spike-priority"
+	default:
+		return fmt.Sprintf("Fault(%d)", int(f))
+	}
+}
+
+// faulty reports whether the armed defect is f and in effect this round.
+func (m *Model) faulty(f Fault) bool { return m.fault == f && m.round >= m.faultFrom }
 
 // NewModel builds a model of the given initial configuration. Robot IDs
 // are assigned 0..n-1 in chain order, matching the engine's handle IDs for
@@ -296,7 +340,7 @@ func (m *Model) planMerges() (mergePlan, error) {
 		for _, b := range pat.blacks {
 			plan.participants[b] = true
 		}
-		if len(pat.blacks) > 1 {
+		if len(pat.blacks) > 1 && !m.faulty(FaultSkipSpikePriority) {
 			tainted := false
 			for _, b := range pat.blacks {
 				if spikeWhites[b] {
@@ -625,6 +669,9 @@ func (m *Model) unlink(nd *node) {
 // movers loses no merges (the engine's argument, re-walked here with
 // plain pointers).
 func (m *Model) resolveMerges(moved []*node) []chain.MergeEvent {
+	if m.faulty(FaultSkipMergeResolution) {
+		return nil
+	}
 	var events []chain.MergeEvent
 	for _, sd := range moved {
 		if m.n <= 2 {

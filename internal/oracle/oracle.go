@@ -39,23 +39,28 @@ type Options struct {
 	// bound (2L+1)*n for the standard pipeline, or a generous watchdog for
 	// the run-disabling ablations the theorem does not speak about.
 	MaxRounds int
-	// Fault arms a deliberate engine defect (conformance self-tests).
-	Fault core.Fault
-	// FaultRound is the round Fault activates from (core.InjectFaultAt);
-	// zero arms it from the start. The chaos harness uses it to verify the
-	// oracle catches defects that only appear deep into a run.
+	// Fault arms a deliberate defect in the naive model (conformance
+	// self-tests). The comparison is symmetric, so a broken model is
+	// caught at exactly the round a broken engine would be. Only a
+	// strategy with a model can carry one; CheckWithOptions rejects a
+	// fault on any other strategy, and an unknown fault value.
+	Fault Fault
+	// FaultRound is the round Fault activates from; zero arms it from the
+	// start. The self-tests use it to verify the oracle catches defects
+	// that only appear deep into a run.
 	FaultRound int
-	// CheckpointRound, when positive, pushes the engine-side strategy
-	// through the checkpoint codec between rounds CheckpointRound-1 and
+	// CheckpointRound, when positive, pushes the strategy through the
+	// checkpoint codec between rounds CheckpointRound-1 and
 	// CheckpointRound: chain and strategy snapshots are serialised to
 	// JSON, decoded, validated and rebuilt, and the check continues
 	// against the rebuilt strategy. Any infidelity in the codec surfaces
 	// as a lockstep divergence (or invariant violation) in the rounds
 	// that follow — the fuzz campaign's checkpoint axis (DESIGN.md §11).
 	CheckpointRound int
-	// Invariants is the battery to run on the engine's chain after every
+	// Invariants is the battery to run on the strategy's chain after every
 	// round; nil selects Battery(). An empty non-nil slice disables it.
-	// Invariants marked FSYNCOnly are skipped under non-FSYNC schedulers.
+	// Invariants marked FSYNCOnly are skipped under non-FSYNC schedulers,
+	// and those marked PaperOnly for every other strategy.
 	Invariants []Invariant
 	// Sched selects the activation model both backends step under: one
 	// scheduler instance fills one activation set per round and the engine
@@ -71,12 +76,12 @@ type Options struct {
 	// asserted either way, every round.
 	Sched sched.Config
 	// Strategy selects the gathering strategy to check. The zero value
-	// (the paper strategy) runs the full engine-vs-model lockstep. Other
-	// strategies have no naive mirror yet; they run under the invariant
-	// battery (minus the PaperOnly entries) plus a liveness watchdog:
-	// under FSYNC not gathering within the watchdog is a divergence,
-	// under non-FSYNC schedulers it is a clean DNF, mirroring the paper
-	// path's semantics. Fault injection applies only to the paper path.
+	// (the paper strategy) is stepped beside the naive model, which
+	// mirrors it. Other strategies have no model yet: the same round loop
+	// checks them with the invariant battery (minus the PaperOnly
+	// entries) and the simulator's liveness watchdog — under FSYNC not
+	// gathering within it is a divergence, under non-FSYNC schedulers a
+	// clean DNF.
 	Strategy core.StrategyName
 }
 
@@ -103,9 +108,9 @@ func Check(cfg core.Config, seed *chain.Chain, maxRounds int) (Result, error) {
 	return CheckWithOptions(cfg, seed, Options{MaxRounds: maxRounds})
 }
 
-// CheckWithOptions is Check with fault injection, a configurable battery,
-// and strategy selection (non-paper strategies take the battery-plus-
-// watchdog path of checkStrategy; the naive model mirrors only the paper).
+// CheckWithOptions is Check with the Options. Every strategy runs the one
+// round loop below; the naive model steps beside the paper strategy only
+// and is nil for the others.
 func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result, error) {
 	positions := seed.Positions()
 	res := Result{InitialLen: len(positions)}
@@ -115,18 +120,25 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 		return res, fmt.Errorf("oracle: seed must be a start configuration (chain has %d dead handles)",
 			seed.NumHandles()-seed.Len())
 	}
-	if opts.Strategy != core.StrategyPaper {
-		return checkStrategy(cfg, seed, opts)
+	if opts.Fault < FaultNone || opts.Fault > FaultSkipSpikePriority {
+		return res, fmt.Errorf("oracle: unknown fault %v", opts.Fault)
 	}
 
-	alg, err := core.New(seed.Clone(), cfg)
+	strat, err := core.NewStrategy(opts.Strategy, seed.Clone(), cfg)
 	if err != nil {
 		return res, err
 	}
-	alg.InjectFaultAt(opts.Fault, opts.FaultRound)
-	model, err := NewModel(positions, cfg)
-	if err != nil {
-		return res, err
+	paper := opts.Strategy == core.StrategyPaper
+	var model *Model
+	if paper {
+		if model, err = NewModel(positions, cfg); err != nil {
+			return res, err
+		}
+		model.fault, model.faultFrom = opts.Fault, opts.FaultRound
+	} else if opts.Fault != FaultNone {
+		// The defects live in the model: armed here, the check would pass
+		// without testing anything.
+		return res, fmt.Errorf("oracle: fault %v needs a naive model, and strategy %s has none", opts.Fault, opts.Strategy)
 	}
 	schd, err := sched.New(opts.Sched)
 	if err != nil {
@@ -136,49 +148,49 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 
 	maxRounds := opts.MaxRounds
 	if maxRounds <= 0 {
-		if cfg.DisableRunStarts || cfg.SequentialRuns || !fullySync {
-			// The theorem assumes the full FSYNC pipeline; the ablations and
-			// the relaxed activation models get the simulator's generous
-			// liveness watchdog instead, scaled by the inverse activation
-			// rate for non-FSYNC schedulers.
-			maxRounds = 60*len(positions) + 400
+		if paper && fullySync && !cfg.DisableRunStarts && !cfg.SequentialRuns {
+			maxRounds = Theorem1Cap(strat.Config(), len(positions))
+		} else {
+			// The theorem assumes the paper's full FSYNC pipeline; other
+			// strategies, the ablations and the relaxed activation models
+			// get the simulator's generous liveness watchdog instead,
+			// scaled by the inverse activation rate for non-FSYNC
+			// schedulers.
+			maxRounds = sim.DefaultWatchdogFactor*len(positions) + sim.DefaultWatchdogSlack
 			if rate := schd.MinActivationRate(len(positions)); rate > 0 && rate < 1 {
 				maxRounds = int(math.Ceil(float64(maxRounds) / rate))
 			}
-		} else {
-			maxRounds = Theorem1Cap(alg.Config(), len(positions))
 		}
 	}
 	battery := opts.Invariants
 	if battery == nil {
 		battery = Battery()
 	}
-	if !fullySync {
-		kept := make([]Invariant, 0, len(battery))
-		for _, inv := range battery {
-			if !inv.FSYNCOnly {
-				kept = append(kept, inv)
-			}
+	kept := make([]Invariant, 0, len(battery))
+	for _, inv := range battery {
+		if (inv.PaperOnly && !paper) || (inv.FSYNCOnly && !fullySync) {
+			continue
 		}
-		battery = kept
+		kept = append(kept, inv)
 	}
+	battery = kept
 	st := &RoundState{
-		Chain:          alg.Chain(),
-		Cfg:            alg.Config(), // post-Validate (MaxMergeLen clamped)
+		Chain:          strat.Chain(),
+		Cfg:            strat.Config(), // post-Validate (MaxMergeLen clamped)
 		InitialLen:     len(positions),
 		LastMergeRound: -1,
 	}
 
 	var activeBuf []bool
 	for round := 0; ; round++ {
-		eg, mg := alg.Gathered(), model.Gathered()
-		if eg != mg {
+		gathered := strat.Gathered()
+		if model != nil && model.Gathered() != gathered {
 			return res, &Divergence{Round: round, Field: "gathered",
-				Engine: fmt.Sprintf("%v", eg), Model: fmt.Sprintf("%v", mg)}
+				Engine: fmt.Sprintf("%v", gathered), Model: fmt.Sprintf("%v", !gathered)}
 		}
-		if eg {
+		if gathered {
 			res.Rounds = round
-			res.FinalLen = alg.Chain().Len()
+			res.FinalLen = strat.Chain().Len()
 			res.Gathered = true
 			return res, nil
 		}
@@ -187,53 +199,43 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 				// Theorem 1 is FSYNC-only: exhausting the watchdog without a
 				// divergence is a DNF result, not a conformance failure.
 				res.Rounds = round
-				res.FinalLen = alg.Chain().Len()
+				res.FinalLen = strat.Chain().Len()
 				return res, nil
 			}
-			return res, &Divergence{Round: round, Field: "liveness",
-				Engine: fmt.Sprintf("not gathered after %d rounds (n=%d, %d robots left)",
-					round, res.InitialLen, alg.Chain().Len())}
+			msg := fmt.Sprintf("not gathered after %d rounds (n=%d, %d robots left)",
+				round, res.InitialLen, strat.Chain().Len())
+			if !paper {
+				msg = fmt.Sprintf("%s %s", opts.Strategy, msg)
+			}
+			return res, &Divergence{Round: round, Field: "liveness", Engine: msg}
 		}
 
-		// The checkpoint axis: swap the engine for its codec round-trip at
-		// the chosen round boundary and keep the lockstep running against
-		// the rebuilt instance.
+		// The checkpoint axis: swap the strategy for its codec round-trip
+		// at the chosen round boundary and keep checking the rebuilt one.
 		if opts.CheckpointRound > 0 && round == opts.CheckpointRound {
-			rt, err := roundTripStrategy(core.StrategyPaper, alg)
-			if err != nil {
+			if strat, err = roundTripStrategy(opts.Strategy, strat); err != nil {
 				return res, &Divergence{Round: round, Field: "checkpoint", Engine: err.Error()}
 			}
-			alg = rt.(*core.Algorithm)
-			st.Chain = alg.Chain()
+			st.Chain = strat.Chain()
 		}
 
 		// One scheduler, one activation set, both backends: the lockstep
 		// compares the engine and the model on identical rounds, never the
 		// scheduler against itself.
-		active := activation(schd, round, alg.Chain().Len(), &activeBuf)
+		active := activation(schd, round, strat.Chain().Len(), &activeBuf)
 
-		st.PrevBounds = alg.Chain().Bounds()
-		eRep, eErr := alg.StepActivated(active)
-		mRep, mErr := model.StepActivated(active)
-		if eErr != nil || mErr != nil {
-			if (eErr == nil) != (mErr == nil) {
-				return res, &Divergence{Round: round, Field: "step-error",
-					Engine: errString(eErr), Model: errString(mErr)}
-			}
-			// Both backends failed the same round: agreed, but still fatal.
-			return res, fmt.Errorf("oracle: both backends failed round %d: engine: %v; model: %v", round, eErr, mErr)
+		st.PrevBounds = strat.Chain().Bounds()
+		rep, err := strat.StepActivated(active)
+		if model != nil {
+			err = lockstep(round, strat, model, active, rep, err)
+		} else if err != nil {
+			err = &Divergence{Round: round, Field: "step-error", Engine: err.Error()}
 		}
-		if d := compareReports(round, eRep, mRep); d != nil {
-			return res, d
+		if err != nil {
+			return res, err
 		}
-		if d := compareConfiguration(round, alg.Chain(), model); d != nil {
-			return res, d
-		}
-		if d := compareRegistries(round, alg, model); d != nil {
-			return res, d
-		}
-		res.TotalMerges += eRep.Merges()
-		st.Report = eRep
+		res.TotalMerges += rep.Merges()
+		st.Report = rep
 		for _, inv := range battery {
 			if err := inv.Check(st); err != nil {
 				return res, &Divergence{Round: round,
@@ -241,10 +243,35 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 					Engine: err.Error()}
 			}
 		}
-		if eRep.Merges() > 0 {
+		if rep.Merges() > 0 {
 			st.LastMergeRound = round
 		}
 	}
+}
+
+// lockstep steps the model through the round the engine just stepped
+// (report eRep, error eErr) and returns the first disagreement in step
+// errors, reports, configuration or run registry as a *Divergence.
+func lockstep(round int, s core.Strategy, m *Model, active []bool, eRep core.RoundReport, eErr error) error {
+	mRep, mErr := m.StepActivated(active)
+	if eErr != nil || mErr != nil {
+		if (eErr == nil) != (mErr == nil) {
+			return &Divergence{Round: round, Field: "step-error",
+				Engine: errString(eErr), Model: errString(mErr)}
+		}
+		// Both backends failed the same round: agreed, but still fatal.
+		return fmt.Errorf("oracle: both backends failed round %d: engine: %v; model: %v", round, eErr, mErr)
+	}
+	if d := compareReports(round, eRep, mRep); d != nil {
+		return d
+	}
+	if d := compareConfiguration(round, s.Chain(), m); d != nil {
+		return d
+	}
+	if d := compareRegistries(round, s.Runs(), m); d != nil {
+		return d
+	}
+	return nil
 }
 
 // activation draws the round's activation set for n robots into buf, or
@@ -283,18 +310,15 @@ func CheckAllAwake(cfg core.Config, seed *chain.Chain, strategy core.StrategyNam
 // the returned strategy in for the original and lets the subsequent rounds
 // expose any state the codec dropped or distorted.
 func roundTripStrategy(name core.StrategyName, s core.Strategy) (core.Strategy, error) {
-	payload := struct {
+	type payload struct {
 		Chain chain.Snapshot        `json:"chain"`
 		Strat core.StrategySnapshot `json:"strat"`
-	}{s.Chain().Snapshot(), s.Snapshot()}
-	data, err := json.Marshal(payload)
+	}
+	data, err := json.Marshal(payload{s.Chain().Snapshot(), s.Snapshot()})
 	if err != nil {
 		return nil, err
 	}
-	var back struct {
-		Chain chain.Snapshot        `json:"chain"`
-		Strat core.StrategySnapshot `json:"strat"`
-	}
+	var back payload
 	if err := json.Unmarshal(data, &back); err != nil {
 		return nil, err
 	}
@@ -394,8 +418,7 @@ func compareConfiguration(round int, ch *chain.Chain, m *Model) *Divergence {
 // compareRegistries checks the full run registry, run by run in creation
 // order: hosts, directions, modes, traverse counters, operation targets
 // and passing budgets must all agree.
-func compareRegistries(round int, alg *core.Algorithm, m *Model) *Divergence {
-	ers := alg.Runs()
+func compareRegistries(round int, ers []*core.Run, m *Model) *Divergence {
 	mrs := m.RunStates()
 	if len(ers) != len(mrs) {
 		return &Divergence{Round: round, Field: "run-registry",
@@ -419,7 +442,7 @@ func GatherNaive(positions []grid.Vec, cfg core.Config, maxRounds int) (int, err
 		return 0, err
 	}
 	if maxRounds <= 0 {
-		maxRounds = 60*len(positions) + 400
+		maxRounds = sim.DefaultWatchdogFactor*len(positions) + sim.DefaultWatchdogSlack
 	}
 	for round := 0; ; round++ {
 		if m.Gathered() {

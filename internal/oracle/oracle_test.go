@@ -86,12 +86,12 @@ func TestCheckRandomWalks(t *testing.T) {
 	}
 }
 
-// TestInjectedFaultsCaught: a checking apparatus must catch broken
-// engines. Every defined fault, injected into the engine, must produce a
+// TestInjectedFaultsCaught: a checking apparatus must catch a wrong
+// answer. Every defined fault, armed in the naive model, must produce a
 // divergence on at least one small workload.
 func TestInjectedFaultsCaught(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
-	for _, fault := range []core.Fault{core.FaultSkipMergeResolution, core.FaultSkipSpikePriority} {
+	for _, fault := range []oracle.Fault{oracle.FaultSkipMergeResolution, oracle.FaultSkipSpikePriority} {
 		caught := false
 		for trial := 0; trial < 80 && !caught; trial++ {
 			ch, err := generate.RandomClosedWalk(8+2*rng.Intn(30), rng)
@@ -106,6 +106,48 @@ func TestInjectedFaultsCaught(t *testing.T) {
 		if !caught {
 			t.Errorf("fault %v survived 80 random chains undetected", fault)
 		}
+	}
+}
+
+// TestFaultThatCannotFireIsAnError: a self-test armed with a fault the
+// check cannot inject would pass without testing anything, so the oracle
+// rejects it — a fault on a strategy without a naive model, or a value
+// outside the defined faults — while the unarmed controls stay clean.
+func TestFaultThatCannotFireIsAnError(t *testing.T) {
+	cases := []struct {
+		name     string
+		strategy core.StrategyName
+		fault    oracle.Fault
+		wantErr  bool
+	}{
+		{"paper clean", core.StrategyPaper, oracle.FaultNone, false},
+		{"lintime clean", core.StrategyLinTime, oracle.FaultNone, false},
+		{"lintime skip-merge-resolution", core.StrategyLinTime, oracle.FaultSkipMergeResolution, true},
+		{"lintime skip-spike-priority", core.StrategyLinTime, oracle.FaultSkipSpikePriority, true},
+		{"paper unknown fault", core.StrategyPaper, oracle.Fault(99), true},
+		{"paper negative fault", core.StrategyPaper, oracle.Fault(-1), true},
+		{"lintime unknown fault", core.StrategyLinTime, oracle.Fault(99), true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ch, err := generate.Spiral(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = oracle.CheckWithOptions(core.DefaultConfig(), ch, oracle.Options{
+				Strategy: tc.strategy,
+				Fault:    tc.fault,
+			})
+			var div *oracle.Divergence
+			switch {
+			case !tc.wantErr && err != nil:
+				t.Fatalf("clean check failed: %v", err)
+			case tc.wantErr && err == nil:
+				t.Fatalf("fault %v on %s passed without testing anything", tc.fault, tc.strategy)
+			case tc.wantErr && errors.As(err, &div):
+				t.Fatalf("want a rejected fault, got a divergence: %v", err)
+			}
+		})
 	}
 }
 

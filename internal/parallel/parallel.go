@@ -182,7 +182,7 @@ dispatch:
 
 // ForEachAll is the draining variant of ForEach: every index runs to
 // completion regardless of failures — a campaign that must report all of
-// its cells (the chaos harness's panic-containment battery) instead of
+// its cells (internal/sim's panic-containment campaign test) instead of
 // stopping at the first bad one. It returns one error slot per index; with
 // errors.As a *PanicError slot yields the failing task's index, so the
 // caller can recompute its deterministic TaskSeed.

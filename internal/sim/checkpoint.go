@@ -51,8 +51,8 @@ type Checkpoint struct {
 	WatchdogSlack  int               `json:"watchdogSlack"`
 
 	// Chain and Strat are the simulated state proper: the SoA chain and
-	// the strategy's cross-round state (run registry, round counter,
-	// injected fault).
+	// the strategy's cross-round state (run registry, round counter, ID
+	// wells).
 	Chain chain.Snapshot        `json:"chain"`
 	Strat core.StrategySnapshot `json:"strat"`
 

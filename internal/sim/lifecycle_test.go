@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -439,12 +440,13 @@ func TestRunDeadline(t *testing.T) {
 	}
 }
 
-// TestEnginePanicPoisons injects a kernel panic at a chosen round and pins
-// the containment contract: Step surfaces a *PanicError carrying the round
-// and the stack, the engine stays poisoned, and Checkpoint refuses. It runs
-// under the retired Options.Workers at 1 and 4, which must change nothing:
-// every round runs on the stepping goroutine, so the engine's own recover is
-// the one containment layer either way.
+// TestEnginePanicPoisons makes the strategy panic at a chosen round
+// (ArmPanic) and pins the containment contract: Step surfaces a
+// *PanicError carrying the round and the stack, the engine stays poisoned,
+// and Checkpoint refuses. It runs under the retired Options.Workers at 1
+// and 4, which must change nothing: every round runs on the stepping
+// goroutine, so the engine's own recover is the one containment layer
+// either way.
 func TestEnginePanicPoisons(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		t.Run("workers_"+strconv.Itoa(workers), func(t *testing.T) {
@@ -457,7 +459,7 @@ func TestEnginePanicPoisons(t *testing.T) {
 				t.Fatal(err)
 			}
 			const panicAt = 3
-			e.Algorithm().InjectFaultAt(core.FaultPanic, panicAt)
+			sim.ArmPanic(e, panicAt)
 			res, err := e.Run()
 			var pe *sim.PanicError
 			if !errors.As(err, &pe) {
@@ -480,6 +482,78 @@ func TestEnginePanicPoisons(t *testing.T) {
 				t.Fatal("Checkpoint accepted a poisoned engine")
 			}
 		})
+	}
+}
+
+// campaignCell is one cell of a panic campaign: its index, the
+// deterministic seed that reproduces it (parallel.TaskSeed), and the error
+// it ended with (nil for a clean gather).
+type campaignCell struct {
+	index int
+	seed  int64
+	err   error
+}
+
+// panicCampaign runs a cells-wide gathering campaign in draining mode
+// (parallel.ForEachAll): every cell simulates its own seeded random-walk
+// chain, and the armed cell's strategy panics in its first round
+// (ArmPanic). Each cell carries its TaskSeed, so any failure is
+// reproducible in isolation.
+func panicCampaign(baseSeed int64, cells, armedCell, campaignWorkers int) []campaignCell {
+	out := make([]campaignCell, cells)
+	errs := parallel.ForEachAll(campaignWorkers, cells, func(i int) error {
+		seed := parallel.TaskSeed(baseSeed, i, 0)
+		ch, err := generate.RandomClosedWalk(24, rand.New(rand.NewSource(seed)))
+		if err != nil {
+			return err
+		}
+		e, err := sim.NewEngine(ch, sim.Options{})
+		if err != nil {
+			return err
+		}
+		if i == armedCell {
+			sim.ArmPanic(e, 1)
+		}
+		_, err = e.Run()
+		return err
+	})
+	for i := range out {
+		out[i] = campaignCell{index: i, seed: parallel.TaskSeed(baseSeed, i, 0), err: errs[i]}
+	}
+	return out
+}
+
+// TestEnginePanicCampaignIsolation is the panic-containment acceptance
+// battery: in a 12-cell campaign whose fifth cell panics in its first
+// round, exactly that cell fails — as a contained *sim.PanicError carrying
+// the failing round — every other cell gathers, and the failing cell
+// reports the deterministic task seed that reproduces it in isolation.
+func TestEnginePanicCampaignIsolation(t *testing.T) {
+	const (
+		cells = 12
+		armed = 5
+	)
+	cellsOut := panicCampaign(77, cells, armed, 4)
+	if len(cellsOut) != cells {
+		t.Fatalf("campaign reported %d cells, want %d", len(cellsOut), cells)
+	}
+	for _, c := range cellsOut {
+		if c.index == armed {
+			var pe *sim.PanicError
+			if !errors.As(c.err, &pe) {
+				t.Fatalf("armed cell %d: got %v (%T), want *sim.PanicError", c.index, c.err, c.err)
+			}
+			if pe.Round != 1 {
+				t.Fatalf("armed cell panicked in round %d, want 1", pe.Round)
+			}
+			if c.seed == 0 {
+				t.Fatal("armed cell lost its reproduction seed")
+			}
+			continue
+		}
+		if c.err != nil {
+			t.Errorf("cell %d (seed %d) failed although only cell %d was armed: %v", c.index, c.seed, armed, c.err)
+		}
 	}
 }
 
