@@ -1,9 +1,10 @@
 // Allocation regression tests for the per-round simulation hot path: the
 // scratch-state reuse in internal/core and internal/sim (DESIGN.md §5)
 // must keep the steady-state round loop nearly allocation-free. The bench
-// trajectory (BENCH_*.json, cmd/gatherbench -bench-out) records the same
-// numbers across PRs; this test is the cheap tripwire that runs with the
-// ordinary suite.
+// trajectory (BENCH_*.json: the BenchmarkTrajectory entries of
+// internal/core and internal/sim, among others) records the same numbers
+// across PRs; this test is the cheap tripwire that runs with the ordinary
+// suite.
 package gridgather_test
 
 import (

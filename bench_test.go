@@ -1,7 +1,9 @@
 // Benchmarks regenerating the paper's evaluation artefacts (see DESIGN.md
 // §4 for the experiment index and EXPERIMENTS.md for recorded outputs).
 // Rounds-to-gathering is reported as a custom metric alongside wall-clock
-// time, since the paper's Theorem 1 is a statement about rounds.
+// time, since the paper's Theorem 1 is a statement about rounds. The pinned
+// trajectory (BENCH_*.json) is not here: each package it measures runs its
+// entries in its own BenchmarkTrajectory.
 package gridgather_test
 
 import (
@@ -12,7 +14,6 @@ import (
 
 	gridgather "gridgather"
 	"gridgather/internal/baseline"
-	"gridgather/internal/benchdefs"
 	"gridgather/internal/core"
 	"gridgather/internal/experiments"
 	"gridgather/internal/generate"
@@ -44,9 +45,9 @@ func gatherBench(b *testing.B, mk func() *gridgather.Chain, opts gridgather.Opti
 }
 
 // BenchmarkTheorem1GatherSquare — experiment E1 on square rings (the
-// run-driven workload): rounds grow linearly with n. The n=4096 size
-// (pinned in the bench trajectory via internal/benchdefs) became practical
-// with the handle/SoA chain core; see DESIGN.md §6.
+// run-driven workload): rounds grow linearly with n. The pinned
+// trajectory gathers the n=512, 4096 and 65536 squares in internal/sim's
+// BenchmarkTrajectory.
 func BenchmarkTheorem1GatherSquare(b *testing.B) {
 	for _, side := range []int{32, 64, 128, 256} {
 		b.Run(fmt.Sprintf("n=%d", 4*side), func(b *testing.B) {
@@ -59,16 +60,14 @@ func BenchmarkTheorem1GatherSquare(b *testing.B) {
 			}, gridgather.Options{})
 		})
 	}
-	b.Run("n=4096", benchdefs.GatherSquare4096)
-	b.Run("n=65536", benchdefs.GatherSquare65536)
 }
 
 // BenchmarkLinTimeGatherSquare — the strategy arena's wall-clock axis
 // (experiment E-strat): the linear-time contraction strategy on the same
 // square rings as BenchmarkTheorem1GatherSquare. Rounds track the
 // diameter (side/2, i.e. n/8 on these rings) instead of ~n, so the rounds
-// metric separates sharply from the paper columns. The n=4096 size is
-// pinned in the bench trajectory via internal/benchdefs.
+// metric separates sharply from the paper columns. The pinned trajectory
+// gathers the n=4096 square in internal/sim's BenchmarkTrajectory.
 func BenchmarkLinTimeGatherSquare(b *testing.B) {
 	for _, side := range []int{32, 64, 128, 256} {
 		b.Run(fmt.Sprintf("n=%d", 4*side), func(b *testing.B) {
@@ -81,26 +80,6 @@ func BenchmarkLinTimeGatherSquare(b *testing.B) {
 			}, gridgather.Options{Strategy: gridgather.StrategyLinTime})
 		})
 	}
-	b.Run("n=4096", benchdefs.LinTimeGatherSquare4096)
-}
-
-// BenchmarkKernelMergeScan / BenchmarkKernelDecide /
-// BenchmarkKernelStartScan — the look-phase kernels of the round driver
-// (DESIGN.md §9) in isolation, full-range, on 4096-robot workloads; the
-// bench trajectory pins the same bodies (internal/benchdefs).
-func BenchmarkKernelMergeScan(b *testing.B) {
-	b.Run("n=4096", benchdefs.KernelMergeScan4096)
-	b.Run("n=4096/round=2000", benchdefs.KernelMergeScanMidGather4096)
-}
-
-func BenchmarkKernelDecide(b *testing.B) {
-	b.Run("n=4096", benchdefs.KernelDecide4096)
-	b.Run("n=4096/round=2000", benchdefs.KernelDecideMidGather4096)
-}
-
-func BenchmarkKernelStartScan(b *testing.B) {
-	b.Run("n=4096", benchdefs.KernelStartScan4096)
-	b.Run("n=4096/round=2000", benchdefs.KernelStartScanMidGather4096)
 }
 
 // BenchmarkTheorem1GatherSpiral — experiment E1 on spirals (the classic
@@ -184,31 +163,6 @@ func BenchmarkLemma3Invariants(b *testing.B) {
 		}
 		return ch
 	}, gridgather.Options{CheckInvariants: true})
-}
-
-// BenchmarkMergeDetectionReuse — experiment E5 (Fig 2/3 mechanics): the
-// merge pattern scan plus the plan tail through a reused MergePlan (zero
-// steady-state allocations; the bench trajectory pins the same body as
-// "PlanMergesReuse/n=4096").
-func BenchmarkMergeDetectionReuse(b *testing.B) {
-	benchdefs.PlanMergesReuse4096(b)
-}
-
-// BenchmarkMergeResolutionSeeded — large-n merge resolution through the
-// seeded O(#moved + #merges) path of the handle-linked ring (O(1) splices,
-// no slice shifting; the bench trajectory pins the same body as
-// "ResolveMergesSeeded/n=4096").
-func BenchmarkMergeResolutionSeeded(b *testing.B) {
-	benchdefs.ResolveMergesSeeded4096(b)
-}
-
-// BenchmarkRunReshape — experiment E6 (Fig 6/7/11 mechanics): stepping a
-// large square where all work is runner reshaping. This is the per-round
-// hot path the scratch-state reuse (DESIGN.md §5) keeps allocation-free;
-// the bench trajectory pins the same body (internal/benchdefs) as
-// "StepSquare/n=512".
-func BenchmarkRunReshape(b *testing.B) {
-	benchdefs.StepSquare512(b)
 }
 
 // BenchmarkStartDetection — the per-robot cost of the Fig 5 run-start
@@ -380,17 +334,6 @@ func BenchmarkSnapshot(b *testing.B) {
 		view.At(&s, ch, i%ch.Len(), core.DefaultViewingPathLength, nil)
 		_ = s.AlignedAhead(+1)
 	}
-}
-
-// BenchmarkServeCacheHit — the serving layer's content-addressed cache:
-// the per-request cost of answering a re-submission without stepping the
-// engine (internal/serve, DESIGN.md §12), for the byte-identical body the
-// digest index answers and for a re-spelled one that takes the decode +
-// build + content-key path. Shared bodies with the pinned trajectory via
-// benchdefs.
-func BenchmarkServeCacheHit(b *testing.B) {
-	b.Run("body=identical", benchdefs.ServeCacheHit)
-	b.Run("body=respelled", benchdefs.ServeCacheHitRespelled)
 }
 
 // BenchmarkGeneratorSpiral — workload generation cost (boundary tracing).

@@ -15,20 +15,24 @@
 //	gatherbench -parallel 8      # eight pool workers (0 = GOMAXPROCS)
 //
 // Besides the experiment suite, gatherbench maintains the repo's
-// performance trajectory (BENCH_*.json, see internal/benchio): -bench-out
-// measures the pinned benchmark subset and writes the JSON snapshot;
-// -bench-against compares a fresh measurement with a committed snapshot
-// and exits non-zero on staleness or an allocs/op or bytes/op regression
-// (> 20%).
+// performance trajectory (BENCH_*.json, see internal/benchio). Each
+// package it measures runs its pinned entries as sub-benchmarks of one
+// BenchmarkTrajectory, and gatherbench reads the `go test -bench
+// -benchmem` output of those from stdin: -bench-out writes the JSON
+// snapshot; -bench-against compares the measurement with a committed
+// snapshot and exits non-zero on staleness or an allocs/op or bytes/op
+// regression (> 20%).
 //
-//	gatherbench -bench-out BENCH_PR6.json -bench-label PR6
-//	gatherbench -bench-against BENCH_PR6.json     # the CI bench-smoke gate
+//	go test -run '^$' -bench '^BenchmarkTrajectory$' -benchmem -timeout 30m ./... |
+//		gatherbench -bench-out BENCH_PRn.json -bench-label PRn
+//	go test ... | gatherbench -bench-against BENCH_PR20.json   # the CI gate
 //
 // Perf investigations start from a profile, not a guess: -cpuprofile and
-// -memprofile capture pprof profiles of whichever mode runs (experiment
-// suite or pinned benchmarks); see EXPERIMENTS.md §"Profiling workflow".
+// -memprofile capture pprof profiles of the experiment suite or a spec
+// campaign; a benchmark's profile comes from `go test -cpuprofile` on one
+// package's BenchmarkTrajectory (EXPERIMENTS.md §"Profiling workflow").
 //
-//	gatherbench -bench-out /tmp/b.json -cpuprofile /tmp/cpu.prof
+//	gatherbench -quick -cpuprofile /tmp/cpu.prof
 //	go tool pprof -top /tmp/cpu.prof
 //
 // A third mode runs declarative workload campaigns (internal/workload):
@@ -50,6 +54,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
@@ -87,13 +92,13 @@ func gatherbenchMain() int {
 		schedFlag = flag.String("sched", "fsync", "activation scheduler the suite's round simulations run under: fsync, rr:K, bounded:K[:p=P][:seed=S], random[:p=P][:seed=S]; E9's structural probe and E12's global-vision baselines are scheduler-free, and E-sched sweeps its own axis regardless")
 		stratFlag = flag.String("strategy", "paper", "gathering strategy the suite's round simulations drive: paper or lintime; paper-specific accounting columns read zero under lintime, and E-strat sweeps its own axis regardless")
 
-		benchOut     = flag.String("bench-out", "", "measure the pinned benchmark subset and write the JSON trajectory snapshot to this file (skips the experiment suite)")
-		benchAgainst = flag.String("bench-against", "", "compare a fresh measurement of the pinned subset against this committed snapshot; exit non-zero on staleness or a >20% allocs/op or bytes/op regression")
+		benchOut     = flag.String("bench-out", "", "read go test -bench '^BenchmarkTrajectory$' -benchmem output from stdin and write the JSON trajectory snapshot to this file (skips the experiment suite)")
+		benchAgainst = flag.String("bench-against", "", "read go test -bench '^BenchmarkTrajectory$' -benchmem output from stdin and compare it against this committed snapshot; exit non-zero on staleness or a >20% allocs/op or bytes/op regression")
 		benchLabel   = flag.String("bench-label", "dev", "label recorded in the -bench-out snapshot (e.g. PR2)")
 		benchNote    = flag.String("bench-note", "", "semicolon-separated notes recorded in the -bench-out snapshot (context for the trajectory, e.g. the before/after of a perf PR)")
 
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the run (experiment suite or bench mode) to this file; inspect with `go tool pprof` (see EXPERIMENTS.md)")
-		memProfile = flag.String("memprofile", "", "write an allocation profile taken at the end of the run to this file")
+		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the experiment suite or spec campaign to this file; inspect it with go tool pprof (see EXPERIMENTS.md)")
+		memProfile = flag.String("memprofile", "", "write an allocation profile taken at the end of the experiment suite or spec campaign to this file")
 
 		specFlag   = flag.String("spec", "", "run a declarative workload campaign instead of the experiment suite: a preset name (internal/workload) or a spec file path; prints the per-family aggregate table and the campaign digest")
 		specTrace  = flag.String("spec-trace", "", "with -spec: also record the campaign as an NDJSON trace to this file (replayable with -spec-replay)")
@@ -136,7 +141,10 @@ func gatherbenchMain() int {
 		return specModeMain(*specFlag, *specTrace, *workers, *csv, *out, *quiet)
 	}
 	if *benchOut != "" || *benchAgainst != "" {
-		if err := runBenchMode(*benchOut, *benchAgainst, *benchLabel, *benchNote); err != nil {
+		fmt.Fprintln(os.Stderr, "gatherbench: reading go test -bench -benchmem output from stdin ...")
+		// Echo the benchmark output, so a log of the pipe shows what ran.
+		in := io.TeeReader(os.Stdin, os.Stderr)
+		if err := runBenchMode(in, *benchOut, *benchAgainst, *benchLabel, *benchNote); err != nil {
 			fmt.Fprintln(os.Stderr, "gatherbench:", err)
 			return 1
 		}
@@ -203,22 +211,19 @@ func gatherbenchMain() int {
 	return exit
 }
 
-// runBenchMode measures the pinned benchmark subset, optionally writes the
-// trajectory snapshot, and optionally gates against a committed one.
-func runBenchMode(outPath, againstPath, label, notes string) error {
-	fmt.Fprintln(os.Stderr, "gatherbench: measuring the pinned benchmark subset ...")
-	rep, err := pinnedBenchmarks(label)
+// runBenchMode reads the trajectory from `go test -bench -benchmem`
+// output, optionally writes the snapshot, and optionally gates it against
+// a committed one.
+func runBenchMode(in io.Reader, outPath, againstPath, label, notes string) error {
+	rep, err := benchio.ParseGoTest(in)
 	if err != nil {
 		return err
 	}
+	rep.Label, rep.NumCPU, rep.GoVersion = label, runtime.NumCPU(), runtime.Version()
 	for _, n := range strings.Split(notes, ";") {
 		if n = strings.TrimSpace(n); n != "" {
 			rep.Notes = append(rep.Notes, n)
 		}
-	}
-	for _, e := range rep.Entries {
-		fmt.Fprintf(os.Stderr, "gatherbench:   %-28s %12.0f ns/op %10.0f B/op %8.1f allocs/op\n",
-			e.Name, e.NsPerOp, e.BytesPerOp, e.AllocsPerOp)
 	}
 	if outPath != "" {
 		if err := benchio.Write(outPath, rep); err != nil {

@@ -1,8 +1,14 @@
 // Package benchio records the repository's machine-readable performance
 // trajectory: every perf-relevant PR regenerates a small JSON report of a
-// pinned benchmark subset (BENCH_*.json at the repo root, written by
-// `gatherbench -bench-out`), so speedups and regressions accumulate as
-// reviewable data instead of claims in commit messages.
+// pinned benchmark subset (BENCH_*.json at the repo root), so speedups and
+// regressions accumulate as reviewable data instead of claims in commit
+// messages.
+//
+// Each package the subset measures runs its entries as sub-benchmarks of
+// one BenchmarkTrajectory in its tests. ParseGoTest turns the output of
+// `go test -run '^$' -bench '^BenchmarkTrajectory$' -benchmem ./...` into
+// a Report; `gatherbench -bench-out` writes it and `-bench-against` gates
+// it with Compare.
 //
 // The encoding is deterministic (entries sorted by name, fixed field
 // order), which keeps committed reports diffable. Wall-clock numbers

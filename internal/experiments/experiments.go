@@ -534,6 +534,33 @@ func gatherAblation(ch *chain.Chain, opts sim.Options) (ablationSample, error) {
 	return s, nil
 }
 
+// ablationSweep runs one controlled ablation grid, values × shapes, and
+// returns its samples value-major. Every value is tried on the same chain
+// per shape: a cell is seeded by its shape index only, under the
+// experiment's seed offset. opts builds a cell's options from its value;
+// the suite's scheduler and strategy are stamped on top. A cell's error
+// names the experiment's label, the value and the shape.
+func ablationSweep(p Params, offset int64, label string, values []int, shapes []string, opts func(int) sim.Options) ([]ablationSample, error) {
+	size := p.Sizes[min(1, len(p.Sizes)-1)]
+	var tasks []parallel.Task[ablationSample]
+	for _, v := range values {
+		for si, shape := range shapes {
+			tasks = append(tasks, seeded(p, offset, si, 0, func(rng *rand.Rand) (ablationSample, error) {
+				ch, err := buildShape(shape, size, rng)
+				if err != nil {
+					return ablationSample{}, err
+				}
+				s, err := gatherAblation(ch, p.withSched(opts(v)))
+				if err != nil {
+					return s, fmt.Errorf("%s=%d %s: %w", label, v, shape, err)
+				}
+				return s, nil
+			}))
+		}
+	}
+	return parallel.RunContext(p.ctx(), p.Parallel, tasks)
+}
+
 // E10AblationRunPeriod sweeps the pipelining period L around the paper's
 // 13 (§5.2 couples L >= 13 to the viewing path length).
 func E10AblationRunPeriod(p Params) (Outcome, error) {
@@ -541,30 +568,11 @@ func E10AblationRunPeriod(p Params) (Outcome, error) {
 	o := Outcome{ID: "E10", Title: "Ablation — run period L (paper: 13)"}
 	Ls := []int{5, 9, 13, 17, 21, 26}
 	shapes := []string{"rectangle", "spiral"}
-	size := p.Sizes[min(1, len(p.Sizes)-1)]
-	var tasks []parallel.Task[ablationSample]
-	for _, L := range Ls {
-		for si, shape := range shapes {
-			// Seed by shape only: every L is tried on the same chain
-			// (controlled ablation).
-			tasks = append(tasks, seeded(p, 10, si, 0, func(rng *rand.Rand) (ablationSample, error) {
-				ch, err := buildShape(shape, size, rng)
-				if err != nil {
-					return ablationSample{}, err
-				}
-				s, err := gatherAblation(ch, p.withSched(baseline.RunPeriodOptions(L)))
-				if err != nil {
-					return s, fmt.Errorf("E10 L=%d %s: %w", L, shape, err)
-				}
-				return s, nil
-			}))
-		}
-	}
-	flat, err := parallel.RunContext(p.ctx(), p.Parallel, tasks)
+	flat, err := ablationSweep(p, 10, "E10 L", Ls, shapes, baseline.RunPeriodOptions)
 	if err != nil {
 		return o, err
 	}
-	o.Tasks = len(tasks)
+	o.Tasks = len(flat)
 
 	tb := analysis.NewTable("L", "shape", "n", "rounds", "gathered", "anomalies")
 	for li, L := range Ls {
@@ -590,30 +598,15 @@ func E11AblationMergeLen(p Params) (Outcome, error) {
 	o := Outcome{ID: "E11", Title: "Ablation — merge detection length (implementation bound: V-1 = 10)"}
 	ks := []int{2, 3, 4, 6, 8, 10}
 	shapes := []string{"rectangle", "walk"}
-	size := p.Sizes[min(1, len(p.Sizes)-1)]
-	var tasks []parallel.Task[ablationSample]
-	for _, k := range ks {
-		for si, shape := range shapes {
-			tasks = append(tasks, seeded(p, 11, si, 0, func(rng *rand.Rand) (ablationSample, error) {
-				ch, err := buildShape(shape, size, rng)
-				if err != nil {
-					return ablationSample{}, err
-				}
-				opts := p.withSched(baseline.MergeLenOptions(k))
-				opts.WatchdogFactor = 80
-				s, err := gatherAblation(ch, opts)
-				if err != nil {
-					return s, fmt.Errorf("E11 k=%d %s: %w", k, shape, err)
-				}
-				return s, nil
-			}))
-		}
-	}
-	flat, err := parallel.RunContext(p.ctx(), p.Parallel, tasks)
+	flat, err := ablationSweep(p, 11, "E11 k", ks, shapes, func(k int) sim.Options {
+		opts := baseline.MergeLenOptions(k)
+		opts.WatchdogFactor = 80
+		return opts
+	})
 	if err != nil {
 		return o, err
 	}
-	o.Tasks = len(tasks)
+	o.Tasks = len(flat)
 
 	tb := analysis.NewTable("max merge len", "shape", "n", "rounds", "gathered")
 	for ki, k := range ks {
@@ -727,28 +720,11 @@ func E13AblationView(p Params) (Outcome, error) {
 	o := Outcome{ID: "E13", Title: "Ablation — viewing path length V (paper: 11)"}
 	vs := []int{7, 9, 11, 15, 21}
 	shapes := []string{"rectangle", "spiral"}
-	size := p.Sizes[min(1, len(p.Sizes)-1)]
-	var tasks []parallel.Task[ablationSample]
-	for _, v := range vs {
-		for si, shape := range shapes {
-			tasks = append(tasks, seeded(p, 13, si, 0, func(rng *rand.Rand) (ablationSample, error) {
-				ch, err := buildShape(shape, size, rng)
-				if err != nil {
-					return ablationSample{}, err
-				}
-				s, err := gatherAblation(ch, p.withSched(baseline.ViewOptions(v)))
-				if err != nil {
-					return s, fmt.Errorf("E13 V=%d %s: %w", v, shape, err)
-				}
-				return s, nil
-			}))
-		}
-	}
-	flat, err := parallel.RunContext(p.ctx(), p.Parallel, tasks)
+	flat, err := ablationSweep(p, 13, "E13 V", vs, shapes, baseline.ViewOptions)
 	if err != nil {
 		return o, err
 	}
-	o.Tasks = len(tasks)
+	o.Tasks = len(flat)
 
 	tb := analysis.NewTable("V", "L", "shape", "n", "rounds", "gathered")
 	for vi, v := range vs {

@@ -123,43 +123,3 @@ func TestRunContextReturnsPartialResults(t *testing.T) {
 		}
 	}
 }
-
-func TestForEachAllDrainsEveryIndex(t *testing.T) {
-	boom := errors.New("boom")
-	for _, workers := range []int{1, 4} {
-		var ran atomic.Int32
-		errs := ForEachAll(workers, 20, func(i int) error {
-			ran.Add(1)
-			switch {
-			case i == 3:
-				panic("single bad cell")
-			case i%7 == 0 && i > 0:
-				return boom
-			}
-			return nil
-		})
-		if ran.Load() != 20 {
-			t.Fatalf("workers=%d: %d tasks ran, want all 20", workers, ran.Load())
-		}
-		if len(errs) != 20 {
-			t.Fatalf("workers=%d: %d error slots, want 20", workers, len(errs))
-		}
-		for i, err := range errs {
-			switch {
-			case i == 3:
-				var pe *PanicError
-				if !errors.As(err, &pe) || pe.Index != 3 {
-					t.Fatalf("workers=%d: slot 3 = %v, want PanicError{Index: 3}", workers, err)
-				}
-			case i%7 == 0 && i > 0:
-				if !errors.Is(err, boom) {
-					t.Fatalf("workers=%d: slot %d = %v, want boom", workers, i, err)
-				}
-			default:
-				if err != nil {
-					t.Fatalf("workers=%d: slot %d = %v, want nil", workers, i, err)
-				}
-			}
-		}
-	}
-}

@@ -59,20 +59,13 @@ func Run[T any](workers int, tasks []Task[T]) ([]T, error) {
 // mid-table. A task error still takes precedence over the context error.
 func RunContext[T any](ctx context.Context, workers int, tasks []Task[T]) ([]T, error) {
 	results := make([]T, len(tasks))
-	errs := make([]error, len(tasks))
-	// ForEachContext owns the pool; RunContext adds the result slice on
-	// top. Each index is executed exactly once and writes only its own
-	// slots, so the collection is race-free, and firstError reproduces the
-	// lowest-indexed-error contract (the ForEachContext return value only
-	// contributes the context error, when no task failed).
-	ctxErr := ForEachContext(ctx, workers, len(tasks), func(i int) error {
-		results[i], errs[i] = runTask(tasks[i], i)
-		return errs[i]
+	// ForEachContext owns the pool, the panic guard and the lowest-index
+	// error rule; each index writes only its own result slot.
+	err := ForEachContext(ctx, workers, len(tasks), func(i int) (err error) {
+		results[i], err = tasks[i](i)
+		return err
 	})
-	if err := firstError(errs); err != nil {
-		return results, err
-	}
-	return results, ctxErr
+	return results, err
 }
 
 // ForEach executes fn(0..n-1) on up to workers goroutines without
@@ -176,78 +169,6 @@ dispatch:
 	}
 	if cancelled {
 		return ctx.Err()
-	}
-	return nil
-}
-
-// ForEachAll is the draining variant of ForEach: every index runs to
-// completion regardless of failures — a campaign that must report all of
-// its cells (internal/sim's panic-containment campaign test) instead of
-// stopping at the first bad one. It returns one error slot per index; with
-// errors.As a *PanicError slot yields the failing task's index, so the
-// caller can recompute its deterministic TaskSeed.
-func ForEachAll(workers, n int, fn func(index int) error) []error {
-	if n <= 0 {
-		return nil
-	}
-	errs := make([]error, n)
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	guard := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
-			}
-		}()
-		return fn(i)
-	}
-	if workers == 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = guard(i)
-		}
-		return errs
-	}
-	var (
-		next = make(chan int)
-		wg   sync.WaitGroup
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = guard(i) // disjoint slots: race-free
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	return errs
-}
-
-// runTask invokes one task, converting a panic into an error so a single
-// bad grid cell cannot take down the whole sweep with a goroutine crash.
-func runTask[T any](t Task[T], i int) (res T, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = &PanicError{Index: i, Value: r, Stack: debug.Stack()}
-		}
-	}()
-	return t(i)
-}
-
-// firstError returns the error with the smallest task index, keeping error
-// reporting deterministic across worker counts.
-func firstError(errs []error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
 	}
 	return nil
 }

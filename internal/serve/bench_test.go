@@ -1,4 +1,4 @@
-package benchdefs
+package serve
 
 import (
 	"bytes"
@@ -8,40 +8,39 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
-
-	"gridgather/internal/serve"
 )
 
-// ServeCacheHit measures the serving layer's centerpiece: answering an
-// identical re-submission from the content-addressed result cache. The
-// job is simulated exactly once off-timer; every iteration then POSTs the
-// body that created it through the full HTTP handler stack and must get
-// the pinned result back without the engine stepping at all. A
-// byte-identical body is found through its SHA-256, so the cost measured
-// is body read + SHA-256 + lookup + encode, the price a hot cache pays per
-// repeated request.
-func ServeCacheHit(b *testing.B) {
-	serveCacheHit(b, []byte(serveHitBody), 1)
-}
-
-// ServeCacheHitRespelled is the same hit reached by a re-spelled body
-// (the fields reordered) that no body digest knows: the cost measured is
-// body read + SHA-256 + decode + chain rebuild + content key + lookup +
-// encode, the price of every hit whose bytes differ from the creating
-// body's.
-func ServeCacheHitRespelled(b *testing.B) {
-	serveCacheHit(b, []byte(`{"size":120,"shape":"spiral"}`), 0)
+// BenchmarkTrajectory runs this package's entries of the pinned benchmark
+// trajectory (BENCH_*.json, internal/benchio): answering a re-submission
+// from the content-addressed result cache (DESIGN.md §12), each
+// sub-benchmark named by its entry.
+//
+// body=identical POSTs the body that created the entry, which the body
+// digest index finds through its SHA-256: the cost is body read + SHA-256
+// + lookup + encode, the price a hot cache pays per repeated request.
+// body=respelled is the same hit reached by a re-spelled body (the fields
+// reordered) that no body digest knows: body read + SHA-256 + decode +
+// chain rebuild + content key + lookup + encode, the price of every hit
+// whose bytes differ from the creating body's.
+func BenchmarkTrajectory(b *testing.B) {
+	b.Run("ServeCacheHit/body=identical", func(b *testing.B) {
+		benchServeCacheHit(b, []byte(serveHitBody), 1)
+	})
+	b.Run("ServeCacheHit/body=respelled", func(b *testing.B) {
+		benchServeCacheHit(b, []byte(`{"size":120,"shape":"spiral"}`), 0)
+	})
 }
 
 // serveHitBody is the body that creates the benchmarks' cache entry.
 const serveHitBody = `{"shape":"spiral","size":120}`
 
-// serveCacheHit primes the spiral job with serveHitBody, then times
-// POSTs of body, each of which must be a 200 cache hit; bodyHitsPerOp
-// (1 or 0) is checked against /stats afterwards, so each case provably
-// measures the hit path it names.
-func serveCacheHit(b *testing.B, body []byte, bodyHitsPerOp int) {
-	s := serve.New(serve.Config{Workers: 1})
+// benchServeCacheHit simulates the spiral job of serveHitBody exactly once
+// off-timer, then times POSTs of body through the full HTTP handler
+// stack, each of which must be a 200 cache hit without the engine
+// stepping; bodyHitsPerOp (1 or 0) is checked against /stats afterwards,
+// so each case provably measures the hit path it names.
+func benchServeCacheHit(b *testing.B, body []byte, bodyHitsPerOp int) {
+	s := New(Config{Workers: 1})
 	defer func() {
 		if err := s.Shutdown(context.Background()); err != nil {
 			b.Error(err)
@@ -63,10 +62,10 @@ func serveCacheHit(b *testing.B, body []byte, bodyHitsPerOp int) {
 		if err := json.Unmarshal(w.Body.Bytes(), &v); err != nil {
 			b.Fatal(err)
 		}
-		if v.Status == serve.StatusDone {
+		if v.Status == StatusDone {
 			break
 		}
-		if v.Status != serve.StatusQueued && v.Status != serve.StatusRunning {
+		if v.Status != StatusQueued && v.Status != StatusRunning {
 			b.Fatalf("warm-up job ended %q: %s", v.Status, w.Body)
 		}
 		if time.Now().After(deadline) {
@@ -84,7 +83,7 @@ func serveCacheHit(b *testing.B, body []byte, bodyHitsPerOp int) {
 	b.StopTimer()
 	w := httptest.NewRecorder()
 	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/stats", nil))
-	var st serve.Stats
+	var st Stats
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		b.Fatal(err)
 	}

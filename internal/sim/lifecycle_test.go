@@ -494,16 +494,19 @@ type campaignCell struct {
 	err   error
 }
 
-// panicCampaign runs a cells-wide gathering campaign in draining mode
-// (parallel.ForEachAll): every cell simulates its own seeded random-walk
-// chain, and the armed cell's strategy panics in its first round
-// (ArmPanic). Each cell carries its TaskSeed, so any failure is
+// panicCampaign runs a cells-wide gathering campaign that drains every
+// cell: each cell simulates its own seeded random-walk chain, the armed
+// cell's strategy panics in its first round (ArmPanic), and each cell's
+// error lands in its own slot, so the pool never sees a failure and stops
+// dispatching. Each cell carries its TaskSeed, so any failure is
 // reproducible in isolation.
 func panicCampaign(baseSeed int64, cells, armedCell, campaignWorkers int) []campaignCell {
 	out := make([]campaignCell, cells)
-	errs := parallel.ForEachAll(campaignWorkers, cells, func(i int) error {
-		seed := parallel.TaskSeed(baseSeed, i, 0)
-		ch, err := generate.RandomClosedWalk(24, rand.New(rand.NewSource(seed)))
+	for i := range out {
+		out[i] = campaignCell{index: i, seed: parallel.TaskSeed(baseSeed, i, 0)}
+	}
+	run := func(i int) error {
+		ch, err := generate.RandomClosedWalk(24, rand.New(rand.NewSource(out[i].seed)))
 		if err != nil {
 			return err
 		}
@@ -516,9 +519,15 @@ func panicCampaign(baseSeed int64, cells, armedCell, campaignWorkers int) []camp
 		}
 		_, err = e.Run()
 		return err
+	}
+	err := parallel.ForEach(campaignWorkers, cells, func(i int) error {
+		out[i].err = run(i)
+		return nil
 	})
-	for i := range out {
-		out[i] = campaignCell{index: i, seed: parallel.TaskSeed(baseSeed, i, 0), err: errs[i]}
+	// Only a panic the engine failed to contain reaches the pool's guard.
+	var pe *parallel.PanicError
+	if errors.As(err, &pe) {
+		out[pe.Index].err = err
 	}
 	return out
 }
