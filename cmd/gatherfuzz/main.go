@@ -8,9 +8,7 @@
 //
 // Scenario randomness derives from the per-task seed alone
 // (parallel.TaskSeed), so a campaign is reproducible from its -seed and
-// any failing scenario is re-runnable in isolation via -only. On a
-// divergence the harness shrinks the failing chain to a minimal witness
-// and prints a ready-to-paste seed, then exits non-zero.
+// any failing scenario is re-runnable in isolation via -only.
 //
 // Scenarios additionally cross an activation scheduler (internal/sched)
 // into every cell: -sched mix (the default) draws from the same scheduler
@@ -49,13 +47,16 @@
 // shape the raw config space (-seed, -min-size, -max-size, -sched,
 // -strategy) conflict with -spec and are rejected.
 //
-// On a divergence the campaign also writes a diagnostic bundle (-bundle,
-// default gatherfuzz-failure.bundle): the exact failing chain plus its
+// Both kinds of campaign run one loop over cells and fail the same way:
+// the lowest-indexed failing cell is reported with the command that
+// reruns it, written as a diagnostic bundle (-bundle, default
+// gatherfuzz-failure.bundle: the exact failing chain plus its
 // configuration, scheduler and strategy in one checksummed file,
-// replayable anywhere via -resume without rebuilding the campaign.
-// SIGINT/SIGTERM stop the campaign at a scenario boundary: in-flight
-// scenarios drain, the progress reached is reported, and the process exits
-// with status 130.
+// replayable anywhere via -resume), and shrunk to a minimal witness
+// printed as a ready-to-paste seed; the exit status is 1.
+// SIGINT/SIGTERM stop the campaign at a cell boundary: in-flight cells
+// drain, the progress reached is reported, and the process exits with
+// status 130.
 //
 // The summary on stdout is deterministic for a given flag set; timing and
 // throughput (scenarios/s) go to stderr, following the repo convention
@@ -67,6 +68,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -78,11 +80,11 @@ import (
 
 	"gridgather/internal/chain"
 	"gridgather/internal/core"
-	"gridgather/internal/generate"
 	"gridgather/internal/oracle"
 	"gridgather/internal/parallel"
 	"gridgather/internal/sched"
 	"gridgather/internal/sim"
+	"gridgather/internal/workload"
 )
 
 // exitInterrupted is the conventional exit status of a SIGINT-terminated
@@ -112,70 +114,159 @@ func gatherfuzzMain() int {
 	if *resume != "" {
 		return resumeBundle(*resume)
 	}
+	var (
+		sp  space
+		err error
+	)
 	if *spec != "" {
-		return specMain(*spec, *scenarios, *workers, *only, *progress, *quiet)
+		set := map[string]bool{}
+		flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+		sp, err = specSpace(*spec, *scenarios, set)
+	} else {
+		sp, err = flagSpace(*scenarios, *seed, *minSize, *maxSize, *schedFlag, *stratFlag)
 	}
-	if *minSize < 4 || *maxSize < *minSize {
-		fmt.Fprintln(os.Stderr, "gatherfuzz: need 4 <= min-size <= max-size")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gatherfuzz:", err)
 		return 2
 	}
+	if *only >= 0 {
+		return runOnly(os.Stdout, sp, *only)
+	}
+	return run(os.Stdout, sp, *workers, *progress, *quiet, *bundle)
+}
+
+// cell is one conformance check of a campaign: a start configuration and
+// what it runs under, plus what a failure report and its bundle record.
+type cell struct {
+	name   string // "scenario 17" or "item 5"
+	desc   string // the cell's axes; -only prints "name: desc"
+	repro  string // the command line that reruns the cell alone
+	family int    // index into workload.ShapeNames()
+	seed   int64  // the seed the bundle records
+	ch     *chain.Chain
+	cfg    core.Config
+	opts   oracle.Options
+}
+
+// space is a campaign's stream of cells: the flag-built scenario space
+// (flagSpace) or the items of a workload spec (specSpace).
+type space struct {
+	n      int    // cells in the campaign
+	unit   string // what stderr calls the cells: "scenarios" or "items"
+	header string // the summary's first line
+	// allFamilies lists undrawn families in the summary too: the flag
+	// space draws from every family, a spec only from those it declares.
+	allFamilies bool
+	cell        func(i int) (cell, error)
+}
+
+// cellFailure is a built cell whose conformance check failed.
+type cellFailure struct {
+	cell
+	err error
+}
+
+func (f *cellFailure) Error() string { return fmt.Sprintf("%s (%s): %v", f.name, f.desc, f.err) }
+
+// flagSpace is the campaign the flags build. Scenario i draws its family,
+// size, configuration, scheduler and strategy from TaskSeed(seed, 0, i)
+// alone, so the campaign is a pure function of its flags and any scenario
+// reruns alone with -only. Every draw happens whatever -sched and
+// -strategy pin, so pinning one axis never moves the others.
+func flagSpace(scenarios int, seed int64, minSize, maxSize int, schedArg, stratArg string) (space, error) {
+	if minSize < 4 || maxSize < minSize {
+		return space{}, errors.New("need 4 <= min-size <= max-size")
+	}
 	var forced *sched.Config
-	if *schedFlag != "mix" {
-		cfg, err := sched.Parse(*schedFlag)
+	schedDesc := fmt.Sprintf("mix(%d)", oracle.NumScheds())
+	if schedArg != "mix" {
+		cfg, err := sched.Parse(schedArg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gatherfuzz:", err)
-			return 2
+			return space{}, err
 		}
-		forced = &cfg
+		forced, schedDesc = &cfg, cfg.String()
 	}
 	var forcedStrat *core.StrategyName
-	if *stratFlag != "mix" {
-		name, err := core.ParseStrategy(*stratFlag)
+	stratDesc := fmt.Sprintf("mix(%d)", oracle.NumStrategies())
+	if stratArg != "mix" {
+		name, err := core.ParseStrategy(stratArg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "gatherfuzz:", err)
-			return 2
+			return space{}, err
 		}
-		forcedStrat = &name
+		forcedStrat, stratDesc = &name, name.String()
 	}
+	families := workload.ShapeNames()
+	return space{
+		n:    scenarios,
+		unit: "scenarios",
+		header: fmt.Sprintf("gatherfuzz: %d scenarios, %d families x %d configs x sched %s x strategy %s, sizes %d..%d, seed %d",
+			scenarios, len(families), oracle.NumConfigs(), schedDesc, stratDesc, minSize, maxSize, seed),
+		allFamilies: true,
+		cell: func(i int) (cell, error) {
+			taskSeed := parallel.TaskSeed(seed, 0, i)
+			rng := rand.New(rand.NewSource(taskSeed))
+			family := rng.Intn(len(families))
+			cfgSel := rng.Intn(oracle.NumConfigs())
+			sc := oracle.SchedFromByte(uint8(rng.Intn(oracle.NumScheds())))
+			// The retired engine worker count was drawn here. The draw
+			// stays so scenario i is the same scenario as before: it comes
+			// before the chain seed and the size in the stream.
+			_ = rng.Intn(8)
+			strat := oracle.StrategyFromByte(uint8(rng.Intn(oracle.NumStrategies())))
+			chainSeed := rng.Int63()
+			// Log-uniform size: most scenarios small (where shapes are
+			// degenerate and bugs shrink nicely), a steady tail up to
+			// max-size.
+			lo, hi := float64(minSize), float64(maxSize)
+			size := int(lo * math.Pow(hi/lo, rng.Float64()))
+			if forced != nil {
+				sc = *forced
+			}
+			if forcedStrat != nil {
+				strat = *forcedStrat
+			}
+			desc := fmt.Sprintf("family=%s size=%d cfg=%d sched=%s strategy=%s seed=%d",
+				families[family], size, cfgSel, sc, strat, chainSeed)
+			ch, err := workload.BuildChain(families[family], size, chainSeed)
+			if err != nil {
+				return cell{}, fmt.Errorf("scenario %d (%s): generator failed: %w", i, desc, err)
+			}
+			return cell{
+				name: fmt.Sprintf("scenario %d", i),
+				desc: fmt.Sprintf("%s n=%d", desc, ch.Len()),
+				repro: fmt.Sprintf("gatherfuzz -seed %d -min-size %d -max-size %d -sched %s -strategy %s -only %d",
+					seed, minSize, maxSize, schedArg, stratArg, i),
+				family: family,
+				seed:   taskSeed,
+				ch:     ch,
+				cfg:    oracle.ConfigFromByte(uint8(cfgSel)),
+				opts:   oracle.Options{Sched: sc, Strategy: strat},
+			}, nil
+		},
+	}, nil
+}
 
-	if *only >= 0 {
-		desc, err := runScenario(*seed, *only, *minSize, *maxSize, forced, forcedStrat)
-		fmt.Printf("scenario %d: %s\n", *only, desc)
-		if err != nil {
-			fmt.Println(err)
-			return 1
-		}
-		fmt.Println("ok")
-		return 0
-	}
-
-	// SIGINT/SIGTERM cancel the campaign's context: no new scenarios are
-	// dispatched, in-flight ones finish, and the progress reached is
-	// reported before exiting with the interrupt status.
+// run checks every cell of sp on the worker pool and prints the
+// deterministic summary. ForEachContext dispatches in index order, lets
+// in-flight cells finish after a failure and returns the lowest-indexed
+// error, so a failing campaign reports, bundles and shrinks that one cell
+// whichever worker failed first. SIGINT/SIGTERM stop dispatch at a cell
+// boundary; the progress reached goes to stderr and the exit status is
+// 130.
+func run(stdout io.Writer, sp space, workers int, progress time.Duration, quiet bool, bundlePath string) int {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
 	var (
-		done        atomic.Int64
-		robots      atomic.Int64
-		rounds      atomic.Int64
-		merges      atomic.Int64
-		maxN        atomic.Int64
-		dnf         atomic.Int64
-		familyCount = make([]atomic.Int64, len(scenarioFamilies()))
-
-		// The first failing scenario's diagnostic bundle (guarded: several
-		// workers can fail concurrently; the campaign reports the
-		// lowest-error-precedence one ForEachContext returns, the bundle
-		// records whichever failure was captured first).
-		bundleMu  sync.Mutex
-		failureBd *sim.Bundle
+		done, dnf, robots, rounds, merges, maxN atomic.Int64
+		familyCount                             = make([]atomic.Int64, len(workload.ShapeNames()))
 	)
 	start := time.Now()
 	stopProgress := make(chan struct{})
-	if *progress > 0 {
+	var ticker sync.WaitGroup
+	if progress > 0 {
+		ticker.Add(1)
 		go func() {
-			tick := time.NewTicker(*progress)
+			defer ticker.Done()
+			tick := time.NewTicker(progress)
 			defer tick.Stop()
 			for {
 				select {
@@ -183,41 +274,20 @@ func gatherfuzzMain() int {
 					return
 				case <-tick.C:
 					d := done.Load()
-					el := time.Since(start).Seconds()
-					fmt.Fprintf(os.Stderr, "gatherfuzz: %d/%d scenarios, %.0f/s\n", d, *scenarios, float64(d)/el)
+					fmt.Fprintf(os.Stderr, "gatherfuzz: %d/%d %s, %.0f/s\n", d, sp.n, sp.unit, float64(d)/time.Since(start).Seconds())
 				}
 			}
 		}()
 	}
 
-	err := parallel.ForEachContext(ctx, *workers, *scenarios, func(i int) error {
-		sc := makeScenario(*seed, i, *minSize, *maxSize, forced, forcedStrat)
-		ch, err := sc.build()
+	err := parallel.ForEachContext(ctx, workers, sp.n, func(i int) error {
+		c, err := sp.cell(i)
 		if err != nil {
-			return fmt.Errorf("scenario %d (%s): generator failed: %w", i, sc.desc(), err)
+			return err
 		}
-		res, err := check(sc.cfg(), ch, sc.oracleOpts())
+		res, err := check(c.cfg, c.ch, c.opts)
 		if err != nil {
-			bundleMu.Lock()
-			if failureBd == nil {
-				failureBd = &sim.Bundle{
-					Label:    fmt.Sprintf("scenario %d (%s)", i, sc.desc()),
-					Seed:     parallel.TaskSeed(*seed, 0, i),
-					Scenario: ch,
-					Config:   sc.cfg(),
-					Strategy: sc.strategy(),
-					Sched:    sc.schedCfg(),
-					Round:    -1,
-					Err:      err.Error(),
-				}
-			}
-			bundleMu.Unlock()
-			minimal := oracle.Shrink(ch.Positions(), func(c *chain.Chain) bool {
-				_, serr := check(sc.cfg(), c, sc.oracleOpts())
-				return serr != nil
-			})
-			return fmt.Errorf("scenario %d (%s): %w\nreproduce: gatherfuzz -seed %d -min-size %d -max-size %d -sched %s -strategy %s -only %d\nshrunk witness:\n%s",
-				i, sc.desc(), err, *seed, *minSize, *maxSize, *schedFlag, *stratFlag, i, oracle.FormatSeed(minimal))
+			return &cellFailure{c, err}
 		}
 		if !res.Gathered {
 			dnf.Add(1)
@@ -226,166 +296,99 @@ func gatherfuzzMain() int {
 		robots.Add(int64(res.InitialLen))
 		rounds.Add(int64(res.Rounds))
 		merges.Add(int64(res.TotalMerges))
-		familyCount[sc.family].Add(1)
-		for {
-			cur := maxN.Load()
-			if int64(res.InitialLen) <= cur || maxN.CompareAndSwap(cur, int64(res.InitialLen)) {
+		familyCount[c.family].Add(1)
+		for n := int64(res.InitialLen); ; {
+			if cur := maxN.Load(); n <= cur || maxN.CompareAndSwap(cur, n) {
 				break
 			}
 		}
 		return nil
 	})
 	close(stopProgress)
-	if err != nil {
-		// Task errors take precedence over the context error in
-		// ForEachContext, so a bare context.Canceled means a clean
-		// interrupt: report the progress reached, not a failure.
-		if errors.Is(err, context.Canceled) && failureBd == nil {
-			stopSignals()
-			fmt.Fprintf(os.Stderr, "gatherfuzz: interrupted after %d/%d scenarios (no divergences)\n",
-				done.Load(), *scenarios)
-			return exitInterrupted
-		}
+	ticker.Wait()
+	// The campaign is over: a signal during the shrink below ends the
+	// process as usual (the bundle is written first).
+	stopSignals()
+
+	var fail *cellFailure
+	switch {
+	case errors.As(err, &fail):
 		fmt.Fprintln(os.Stderr, "gatherfuzz: FAIL")
-		fmt.Println(err)
-		if failureBd != nil && *bundle != "" {
-			if werr := sim.WriteBundle(*bundle, failureBd); werr != nil {
-				fmt.Fprintln(os.Stderr, "gatherfuzz: writing bundle:", werr)
-			} else {
-				fmt.Fprintf(os.Stderr, "gatherfuzz: diagnostic bundle written — replay with: gatherfuzz -resume %s\n", *bundle)
-			}
+		fmt.Fprintf(stdout, "%v\nreproduce: %s\n", fail, fail.repro)
+		if bundlePath != "" {
+			writeBundle(bundlePath, fail)
 		}
+		minimal := oracle.Shrink(fail.ch.Positions(), func(ch *chain.Chain) bool {
+			_, err := check(fail.cfg, ch, fail.opts)
+			return err != nil
+		})
+		fmt.Fprintf(stdout, "shrunk witness:\n%s", oracle.FormatSeed(minimal))
+		return 1
+	case errors.Is(err, context.Canceled):
+		// Task errors take precedence over the context error in
+		// ForEachContext, so a bare context.Canceled is a clean interrupt.
+		fmt.Fprintf(os.Stderr, "gatherfuzz: interrupted after %d/%d %s (no divergences)\n", done.Load(), sp.n, sp.unit)
+		return exitInterrupted
+	case err != nil:
+		fmt.Fprintln(os.Stderr, "gatherfuzz: FAIL")
+		fmt.Fprintln(stdout, err)
 		return 1
 	}
 
 	elapsed := time.Since(start)
-	fmt.Printf("gatherfuzz: %d scenarios, %d families x %d configs x sched %s x strategy %s, sizes %d..%d, seed %d\n",
-		*scenarios, len(scenarioFamilies()), oracle.NumConfigs(), schedSpaceDesc(forced),
-		strategySpaceDesc(forcedStrat), *minSize, *maxSize, *seed)
-	fmt.Printf("divergences: 0\n")
-	fmt.Printf("gathered: %d, DNF within the non-FSYNC watchdog: %d\n",
-		done.Load()-dnf.Load(), dnf.Load())
-	fmt.Printf("robots: %d total (largest chain %d), rounds: %d, merges: %d\n",
+	fmt.Fprintln(stdout, sp.header)
+	fmt.Fprintln(stdout, "divergences: 0")
+	fmt.Fprintf(stdout, "gathered: %d, DNF within the non-FSYNC watchdog: %d\n", done.Load()-dnf.Load(), dnf.Load())
+	fmt.Fprintf(stdout, "robots: %d total (largest chain %d), rounds: %d, merges: %d\n",
 		robots.Load(), maxN.Load(), rounds.Load(), merges.Load())
-	fmt.Printf("per family:")
-	for fi, name := range scenarioFamilies() {
-		fmt.Printf(" %s=%d", name, familyCount[fi].Load())
+	fmt.Fprint(stdout, "per family:")
+	for fi, name := range workload.ShapeNames() {
+		if n := familyCount[fi].Load(); n > 0 || sp.allFamilies {
+			fmt.Fprintf(stdout, " %s=%d", name, n)
+		}
 	}
-	fmt.Println()
-	if !*quiet {
-		fmt.Fprintf(os.Stderr, "gatherfuzz: %v elapsed, %.0f scenarios/s\n",
-			elapsed.Round(time.Millisecond), float64(*scenarios)/elapsed.Seconds())
+	fmt.Fprintln(stdout)
+	if !quiet {
+		fmt.Fprintf(os.Stderr, "gatherfuzz: %v elapsed, %.0f %s/s\n",
+			elapsed.Round(time.Millisecond), float64(sp.n)/elapsed.Seconds(), sp.unit)
 	}
 	return 0
 }
 
-// scenarioFamilies lists the workload families a scenario can draw: every
-// structured generator plus raw byte soup through the fuzz decoder.
-func scenarioFamilies() []string {
-	return append(generate.Names(), "bytes")
-}
-
-// schedSpaceDesc names the scheduler axis in the deterministic summary.
-func schedSpaceDesc(forced *sched.Config) string {
-	if forced != nil {
-		return forced.String()
+// writeBundle records a failing cell as a diagnostic bundle at path.
+func writeBundle(path string, f *cellFailure) {
+	err := sim.WriteBundle(path, &sim.Bundle{
+		Label:    fmt.Sprintf("%s (%s)", f.name, f.desc),
+		Seed:     f.seed,
+		Scenario: f.ch,
+		Config:   f.cfg,
+		Strategy: f.opts.Strategy,
+		Sched:    f.opts.Sched,
+		Round:    -1,
+		Err:      f.err.Error(),
+	})
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gatherfuzz: writing bundle:", err)
+		return
 	}
-	return fmt.Sprintf("mix(%d)", oracle.NumScheds())
+	fmt.Fprintf(os.Stderr, "gatherfuzz: diagnostic bundle written — replay with: gatherfuzz -resume %s\n", path)
 }
 
-// strategySpaceDesc names the strategy axis in the deterministic summary.
-func strategySpaceDesc(forced *core.StrategyName) string {
-	if forced != nil {
-		return forced.String()
+// runOnly reruns cell i of sp alone (-only).
+func runOnly(stdout io.Writer, sp space, i int) int {
+	c, err := sp.cell(i)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gatherfuzz:", err)
+		return 2
 	}
-	return fmt.Sprintf("mix(%d)", oracle.NumStrategies())
-}
-
-// scenario is one fully derived (family, size, config, scheduler,
-// strategy, seed) cell.
-type scenario struct {
-	family      int
-	size        int
-	cfgSel      int
-	schedSel    int
-	stratSel    int
-	forced      *sched.Config
-	forcedStrat *core.StrategyName
-	rngSeed     int64
-}
-
-// makeScenario derives scenario i of the campaign. All randomness flows
-// from TaskSeed(base, 0, i): the campaign is a pure function of the base
-// seed (and the -sched / -strategy overrides), and any cell can be
-// reproduced alone. The strategy draw happens unconditionally so pinning
-// it changes only that axis, never the rest of the cell.
-func makeScenario(base int64, i, minSize, maxSize int, forced *sched.Config, forcedStrat *core.StrategyName) scenario {
-	rng := rand.New(rand.NewSource(parallel.TaskSeed(base, 0, i)))
-	families := scenarioFamilies()
-	sc := scenario{
-		family:   rng.Intn(len(families)),
-		cfgSel:   rng.Intn(oracle.NumConfigs()),
-		schedSel: rng.Intn(oracle.NumScheds()),
+	_, err = check(c.cfg, c.ch, c.opts)
+	fmt.Fprintf(stdout, "%s: %s\n", c.name, c.desc)
+	if err != nil {
+		fmt.Fprintln(stdout, err)
+		return 1
 	}
-	// The retired engine worker count was drawn here. The draw stays so
-	// scenario i is the same scenario as before: it comes before the
-	// chain seed and the size in the stream.
-	_ = rng.Intn(8)
-	sc.stratSel = rng.Intn(oracle.NumStrategies())
-	sc.forced, sc.forcedStrat = forced, forcedStrat
-	sc.rngSeed = rng.Int63()
-	// Log-uniform size: most scenarios small (where shapes are degenerate
-	// and bugs shrink nicely), a steady tail up to max-size.
-	lo, hi := float64(minSize), float64(maxSize)
-	sc.size = int(lo * math.Pow(hi/lo, rng.Float64()))
-	return sc
-}
-
-// cfg maps the scenario's selector onto the shared fuzzing configuration
-// space.
-func (sc scenario) cfg() core.Config {
-	return oracle.ConfigFromByte(uint8(sc.cfgSel))
-}
-
-// schedCfg is the scenario's activation model: the -sched override when
-// set, otherwise the cell's draw from the fuzzing scheduler space.
-func (sc scenario) schedCfg() sched.Config {
-	if sc.forced != nil {
-		return *sc.forced
-	}
-	return oracle.SchedFromByte(uint8(sc.schedSel))
-}
-
-// strategy is the scenario's gathering strategy: the -strategy override
-// when set, otherwise the cell's draw from the fuzzing strategy space.
-func (sc scenario) strategy() core.StrategyName {
-	if sc.forcedStrat != nil {
-		return *sc.forcedStrat
-	}
-	return oracle.StrategyFromByte(uint8(sc.stratSel))
-}
-
-// oracleOpts bundles the scenario's conformance options for the check and
-// the shrinker (which must search under the identical cell).
-func (sc scenario) oracleOpts() oracle.Options {
-	return oracle.Options{Sched: sc.schedCfg(), Strategy: sc.strategy()}
-}
-
-func (sc scenario) desc() string {
-	return fmt.Sprintf("family=%s size=%d cfg=%d sched=%s strategy=%s seed=%d",
-		scenarioFamilies()[sc.family], sc.size, sc.cfgSel, sc.schedCfg(), sc.strategy(), sc.rngSeed)
-}
-
-// build constructs the scenario's start configuration.
-func (sc scenario) build() (*chain.Chain, error) {
-	rng := rand.New(rand.NewSource(sc.rngSeed))
-	families := scenarioFamilies()
-	if families[sc.family] == "bytes" {
-		data := make([]byte, sc.size)
-		rng.Read(data)
-		return generate.FromBytes(data)
-	}
-	return generate.Named(families[sc.family], sc.size, rng)
+	fmt.Fprintln(stdout, "ok")
+	return 0
 }
 
 // resumeBundle replays a diagnostic bundle written by a failing campaign
@@ -412,18 +415,7 @@ func resumeBundle(path string) int {
 	return 0
 }
 
-// runScenario reproduces one scenario index in isolation (-only).
-func runScenario(base int64, i, minSize, maxSize int, forced *sched.Config, forcedStrat *core.StrategyName) (string, error) {
-	sc := makeScenario(base, i, minSize, maxSize, forced, forcedStrat)
-	ch, err := sc.build()
-	if err != nil {
-		return sc.desc(), err
-	}
-	_, err = check(sc.cfg(), ch, sc.oracleOpts())
-	return fmt.Sprintf("%s n=%d", sc.desc(), ch.Len()), err
-}
-
-// check is the conformance check of one scenario: the oracle's check and,
+// check is the conformance check of one cell: the oracle's check and,
 // under FSYNC, the all-awake law (oracle.CheckAllAwake), whose mismatch is
 // a divergence like any other.
 func check(cfg core.Config, ch *chain.Chain, opts oracle.Options) (oracle.Result, error) {

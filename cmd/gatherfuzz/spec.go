@@ -1,19 +1,11 @@
 package main
 
 import (
-	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"os"
-	"os/signal"
+	"slices"
 	"strings"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"gridgather/internal/oracle"
-	"gridgather/internal/parallel"
 	"gridgather/internal/workload"
 )
 
@@ -25,142 +17,54 @@ func presetList() string { return strings.Join(workload.PresetNames(), ", ") }
 // harness refuses rather than silently resolving.
 var specConflicts = []string{"seed", "min-size", "max-size", "sched", "strategy"}
 
-// specMain runs a spec-driven conformance campaign (-spec): the declared
-// workload items replace the flag-built scenario space, and every item
-// runs through the same oracle conformance check as a raw campaign. The
-// campaign is a pure function of the spec bytes: items expand
-// deterministically (workload.ExpandItem), so any failure reproduces with
-// -spec ... -only INDEX.
-func specMain(specArg string, scenarios, workers, only int, progress time.Duration, quiet bool) int {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
+// specSpace is the campaign a workload spec declares (-spec). Item i
+// expands deterministically from the spec bytes (workload.ExpandItem), so
+// the campaign is a pure function of the spec and any item reruns alone
+// with -only. set names the flags given on the command line: an explicit
+// -scenarios overrides the spec's item count (CI slices trim a long
+// campaign, soak runs extend it), and a flag of the raw space is refused.
+func specSpace(arg string, scenarios int, set map[string]bool) (space, error) {
 	for _, name := range specConflicts {
 		if set[name] {
-			fmt.Fprintf(os.Stderr, "gatherfuzz: -%s conflicts with -spec (the spec owns that axis)\n", name)
-			return 2
+			return space{}, fmt.Errorf("-%s conflicts with -spec (the spec owns that axis)", name)
 		}
 	}
-	sp, err := workload.Load(specArg)
+	sp, err := workload.Load(arg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gatherfuzz:", err)
-		return 2
+		return space{}, err
 	}
-	items := sp.Items
+	repro := "gatherfuzz -spec " + arg
 	if set["scenarios"] {
-		// An explicit -scenarios overrides the spec's item count: CI slices
-		// trim a long campaign, soak runs extend it.
-		items = scenarios
 		sp.Items = scenarios
 		if err := sp.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "gatherfuzz:", err)
-			return 2
+			return space{}, err
 		}
+		repro += fmt.Sprintf(" -scenarios %d", scenarios)
 	}
-
-	if only >= 0 {
-		it, err := sp.ExpandItem(only)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gatherfuzz:", err)
-			return 2
-		}
-		_, err = checkItem(it)
-		fmt.Printf("item %d: %s n=%d sched=%s strategy=%s\n", it.Index, it.Family, it.N, it.Sched, it.Strategy)
-		if err != nil {
-			fmt.Println(err)
-			return 1
-		}
-		fmt.Println("ok")
-		return 0
-	}
-
-	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stopSignals()
-
-	var (
-		done        atomic.Int64
-		dnf         atomic.Int64
-		robots      atomic.Int64
-		familyCount = make([]atomic.Int64, len(scenarioFamilies()))
-	)
-	familyIndex := map[string]int{}
-	for fi, name := range scenarioFamilies() {
-		familyIndex[name] = fi
-	}
-
-	start := time.Now()
-	stopProgress := make(chan struct{})
-	if progress > 0 {
-		go func() {
-			tick := time.NewTicker(progress)
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopProgress:
-					return
-				case <-tick.C:
-					d := done.Load()
-					el := time.Since(start).Seconds()
-					fmt.Fprintf(os.Stderr, "gatherfuzz: %d/%d items, %.0f/s\n", d, items, float64(d)/el)
-				}
+	families := workload.ShapeNames()
+	return space{
+		n:      sp.Items,
+		unit:   "items",
+		header: fmt.Sprintf("gatherfuzz: spec %s, %d items, seed %d", sp.Name, sp.Items, sp.Seed),
+		cell: func(i int) (cell, error) {
+			it, err := sp.ExpandItem(i)
+			if err != nil {
+				return cell{}, err
 			}
-		}()
-	}
-
-	err = parallel.ForEachContext(ctx, workers, items, func(i int) error {
-		it, err := sp.ExpandItem(i)
-		if err != nil {
-			return err
-		}
-		res, err := checkItem(it)
-		if err != nil {
-			return fmt.Errorf("item %d (%s n=%d sched=%s strategy=%s): %w\nreproduce: gatherfuzz -spec %s -only %d",
-				i, it.Family, it.N, it.Sched, it.Strategy, err, specArg, i)
-		}
-		if !res.Gathered {
-			dnf.Add(1)
-		}
-		done.Add(1)
-		robots.Add(int64(res.InitialLen))
-		familyCount[familyIndex[it.Family]].Add(1)
-		return nil
-	})
-	close(stopProgress)
-	if err != nil {
-		if errors.Is(err, context.Canceled) {
-			stopSignals()
-			fmt.Fprintf(os.Stderr, "gatherfuzz: interrupted after %d/%d items (no divergences)\n", done.Load(), items)
-			return exitInterrupted
-		}
-		fmt.Fprintln(os.Stderr, "gatherfuzz: FAIL")
-		fmt.Println(err)
-		return 1
-	}
-
-	elapsed := time.Since(start)
-	fmt.Printf("gatherfuzz: spec %s, %d items, seed %d\n", sp.Name, items, sp.Seed)
-	fmt.Printf("divergences: 0\n")
-	fmt.Printf("gathered: %d, DNF within the non-FSYNC watchdog: %d\n", done.Load()-dnf.Load(), dnf.Load())
-	fmt.Printf("robots: %d total\n", robots.Load())
-	fmt.Printf("per family:")
-	for fi, name := range scenarioFamilies() {
-		if n := familyCount[fi].Load(); n > 0 {
-			fmt.Printf(" %s=%d", name, n)
-		}
-	}
-	fmt.Println()
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "gatherfuzz: %v elapsed, %.0f items/s\n",
-			elapsed.Round(time.Millisecond), float64(items)/elapsed.Seconds())
-	}
-	return 0
-}
-
-// checkItem runs one expanded campaign item through the conformance
-// check the raw-flag campaign uses, the all-awake law included.
-func checkItem(it workload.Item) (oracle.Result, error) {
-	ch, err := it.Chain()
-	if err != nil {
-		return oracle.Result{}, fmt.Errorf("rebuilding scenario: %w", err)
-	}
-	return check(it.EffectiveConfig(), ch, oracle.Options{Sched: it.Sched, Strategy: it.Strategy})
+			ch, err := it.Chain()
+			if err != nil {
+				return cell{}, fmt.Errorf("item %d: rebuilding scenario: %w", i, err)
+			}
+			return cell{
+				name:   fmt.Sprintf("item %d", i),
+				desc:   fmt.Sprintf("%s n=%d sched=%s strategy=%s", it.Family, it.N, it.Sched, it.Strategy),
+				repro:  fmt.Sprintf("%s -only %d", repro, i),
+				family: slices.Index(families, it.Family),
+				seed:   it.Seed,
+				ch:     ch,
+				cfg:    it.EffectiveConfig(),
+				opts:   oracle.Options{Sched: it.Sched, Strategy: it.Strategy},
+			}, nil
+		},
+	}, nil
 }

@@ -189,8 +189,8 @@ type (
 // Run-lifecycle sentinel errors (match with errors.Is).
 var (
 	// ErrDeadline marks a run stopped at a round boundary by
-	// Options.Deadline or Options.MaxWallTime; the partial Result is
-	// sealed and the engine checkpointable.
+	// Options.MaxWallTime; the partial Result is sealed and the engine
+	// checkpointable.
 	ErrDeadline = sim.ErrDeadline
 	// ErrCheckpointCorrupt marks a checkpoint that fails any integrity
 	// check (envelope, checksum, or semantic validation on Restore).
@@ -208,9 +208,8 @@ var (
 
 // Restore rebuilds a paused engine from a checkpoint. Semantic parameters
 // (algorithm config, scheduler, strategy, round/RNG state) come from the
-// checkpoint; runtime knobs (CheckInvariants, Observer, Deadline,
-// MaxWallTime) from opts. Invalid checkpoints fail with
-// ErrCheckpointCorrupt.
+// checkpoint; runtime knobs (CheckInvariants, Observer, MaxWallTime) from
+// opts. Invalid checkpoints fail with ErrCheckpointCorrupt.
 func Restore(cp *Checkpoint, opts Options) (*Engine, error) { return sim.Restore(cp, opts) }
 
 // DecodeCheckpoint validates and decodes an encoded checkpoint.

@@ -68,7 +68,6 @@ var (
 	ErrOddLength   = errors.New("chain: a closed grid chain must have even length")
 	ErrBadEdge     = errors.New("chain: consecutive robots must be axis-adjacent or co-located")
 	ErrZeroEdge    = errors.New("chain: initial configurations may not co-locate chain neighbours")
-	ErrNotClosed   = errors.New("chain: the walk does not return to its start")
 	ErrEmptyDecode = errors.New("chain: cannot decode empty robot list")
 )
 

@@ -115,32 +115,8 @@ const (
 	TermStalled
 )
 
-// String names the reason.
-func (t TerminateReason) String() string {
-	switch t {
-	case TermSequentRun:
-		return "sequent-run-ahead"
-	case TermEndpoint:
-		return "quasi-line-endpoint"
-	case TermMerge:
-		return "merge-participation"
-	case TermPassTargetGone:
-		return "passing-target-removed"
-	case TermOpTargetGone:
-		return "operation-target-removed"
-	case TermHostRemoved:
-		return "host-removed"
-	case TermStuck:
-		return "stuck"
-	case TermStalled:
-		return "stalled"
-	default:
-		return fmt.Sprintf("TerminateReason(%d)", int(t))
-	}
-}
-
 // terminateReasonNames maps every named reason to its String form; shared
-// by the text marshalling in both directions.
+// by String and the text marshalling in both directions.
 var terminateReasonNames = map[TerminateReason]string{
 	TermSequentRun:     "sequent-run-ahead",
 	TermEndpoint:       "quasi-line-endpoint",
@@ -150,6 +126,14 @@ var terminateReasonNames = map[TerminateReason]string{
 	TermHostRemoved:    "host-removed",
 	TermStuck:          "stuck",
 	TermStalled:        "stalled",
+}
+
+// String names the reason.
+func (t TerminateReason) String() string {
+	if name, ok := terminateReasonNames[t]; ok {
+		return name
+	}
+	return fmt.Sprintf("TerminateReason(%d)", int(t))
 }
 
 // MarshalText encodes the reason as its name, so JSON maps keyed by

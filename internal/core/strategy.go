@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"gridgather/internal/chain"
 )
@@ -74,14 +76,21 @@ func (s StrategyName) String() string {
 	return string(s)
 }
 
+// strategyNames lists the registered strategies in registration order:
+// Valid, ParseStrategy and StrategyNames all read it.
+var strategyNames = []StrategyName{StrategyPaper, StrategyLinTime}
+
 // Valid reports whether the name is registered.
 func (s StrategyName) Valid() error {
-	switch s {
-	case StrategyPaper, StrategyLinTime:
+	if slices.Contains(strategyNames, s) {
 		return nil
-	default:
-		return fmt.Errorf("core: unknown strategy %q (have: %s)", string(s), strategyNameList())
 	}
+	return errUnknownStrategy(string(s))
+}
+
+// errUnknownStrategy is the error for a name outside the registry.
+func errUnknownStrategy(s string) error {
+	return fmt.Errorf("core: unknown strategy %q (have: %s)", s, strings.Join(StrategyNames(), ", "))
 }
 
 // MarshalText encodes the name (the zero value as "paper"), so JSON
@@ -106,25 +115,30 @@ func (s *StrategyName) UnmarshalText(text []byte) error {
 	return nil
 }
 
-// ParseStrategy parses the -strategy flag syntax shared by the CLIs:
-// "paper" or "lintime" (the empty string is the paper default).
+// ParseStrategy parses the -strategy flag syntax shared by the CLIs: a
+// registered strategy's String form, "paper" or "lintime" (the empty
+// string is the paper default).
 func ParseStrategy(s string) (StrategyName, error) {
-	switch s {
-	case "", "paper":
+	if s == "" {
 		return StrategyPaper, nil
-	case "lintime":
-		return StrategyLinTime, nil
-	default:
-		return StrategyPaper, fmt.Errorf("core: unknown strategy %q (have: %s)", s, strategyNameList())
 	}
+	for _, name := range strategyNames {
+		if name.String() == s {
+			return name, nil
+		}
+	}
+	return StrategyPaper, errUnknownStrategy(s)
 }
 
 // StrategyNames lists the registered strategies in registration order,
-// rendered for flag help text.
-func StrategyNames() []string { return []string{"paper", "lintime"} }
-
-// strategyNameList renders the registry for error messages.
-func strategyNameList() string { return "paper, lintime" }
+// rendered for flag help text and error messages.
+func StrategyNames() []string {
+	out := make([]string, len(strategyNames))
+	for i, name := range strategyNames {
+		out[i] = name.String()
+	}
+	return out
+}
 
 // NewStrategy constructs the named strategy on the chain (owned by the
 // strategy afterwards) — the single registry every consumer builds

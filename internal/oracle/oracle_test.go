@@ -3,6 +3,7 @@ package oracle_test
 import (
 	"errors"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"gridgather/internal/chain"
@@ -88,8 +89,20 @@ func TestCheckRandomWalks(t *testing.T) {
 
 // TestInjectedFaultsCaught: a checking apparatus must catch a wrong
 // answer. Every defined fault, armed in the naive model, must produce a
-// divergence on at least one small workload.
+// divergence on at least one small workload, and also when armed mid-run,
+// where the defect only appears after the model has behaved correctly for
+// a while: at rounds 0, 5 and 13 each fault must be caught on at least one
+// workload of a fixed panel. Random walks gather in well under 13 rounds,
+// so the late arms need long-contracting shapes (a spiral keeps merging
+// and spiking for ~99 rounds). The clean control (no fault, with a mid-run
+// checkpoint round-trip) must pass on every workload, so the detector is
+// sensitive without being trigger-happy.
 func TestInjectedFaultsCaught(t *testing.T) {
+	panel := []func() (*chain.Chain, error){
+		func() (*chain.Chain, error) { return generate.Spiral(8) },
+		func() (*chain.Chain, error) { return generate.Comb(8, 9, 3) },
+		func() (*chain.Chain, error) { return generate.RandomClosedWalk(256, rand.New(rand.NewSource(11))) },
+	}
 	rng := rand.New(rand.NewSource(34))
 	for _, fault := range []oracle.Fault{oracle.FaultSkipMergeResolution, oracle.FaultSkipSpikePriority} {
 		caught := false
@@ -106,7 +119,33 @@ func TestInjectedFaultsCaught(t *testing.T) {
 		if !caught {
 			t.Errorf("fault %v survived 80 random chains undetected", fault)
 		}
+		for _, armAt := range []int{0, 5, 13} {
+			t.Run(fault.String()+"@"+strconv.Itoa(armAt), func(t *testing.T) {
+				for _, build := range panel {
+					ch, err := build()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := oracle.CheckWithOptions(core.DefaultConfig(), ch, oracle.Options{Fault: fault, FaultRound: armAt}); err != nil {
+						return // caught
+					}
+				}
+				t.Fatalf("fault %s armed at round %d never caught on the %d-workload panel", fault, armAt, len(panel))
+			})
+		}
 	}
+	t.Run("clean control", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(92))
+		for trial := 0; trial < 10; trial++ {
+			ch, err := generate.RandomClosedWalk(40+2*rng.Intn(40), rand.New(rand.NewSource(rng.Int63())))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := oracle.CheckWithOptions(core.DefaultConfig(), ch, oracle.Options{CheckpointRound: 1 + trial*3}); err != nil {
+				t.Fatalf("clean scenario flagged: %v", err)
+			}
+		}
+	})
 }
 
 // TestFaultThatCannotFireIsAnError: a self-test armed with a fault the

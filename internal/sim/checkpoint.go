@@ -115,7 +115,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 // Restore rebuilds an engine from a checkpoint. The checkpoint supplies
 // every semantic parameter (config, strategy, scheduler, watchdog budget);
 // opts contributes only the runtime-side knobs — CheckInvariants, Observer,
-// Deadline/MaxWallTime — so the same checkpoint can resume with invariant
+// MaxWallTime — so the same checkpoint can resume with invariant
 // checking switched on without changing the simulated outcome. Every
 // structural claim the checkpoint makes is re-validated from scratch; a
 // checkpoint that decodes but lies is rejected with ErrCheckpointCorrupt.
@@ -171,7 +171,6 @@ func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 		CheckInvariants: opts.CheckInvariants,
 		Observer:        opts.Observer,
 		Sched:           cp.Sched,
-		Deadline:        opts.Deadline,
 		MaxWallTime:     opts.MaxWallTime,
 	}
 	if eopts.WatchdogFactor <= 0 {

@@ -184,9 +184,10 @@ func TestCheckpointResumeNonFSYNC(t *testing.T) {
 }
 
 // TestCheckpointRejectsCorruption flips every single byte of an encoded
-// checkpoint and demands the codec (or, at worst, Restore) reject it — the
-// CRC envelope's whole job — plus the targeted error paths: version skew,
-// artefact confusion, truncation, and semantic lies that decode cleanly.
+// checkpoint and demands the codec (or, at worst, Restore) reject it with a
+// typed error — the CRC envelope's whole job, never an acceptance or a
+// panic — plus the targeted error paths: version skew, artefact
+// confusion, truncation, and semantic lies that decode cleanly.
 func TestCheckpointRejectsCorruption(t *testing.T) {
 	ch, err := generate.Rectangle(3, 1)
 	if err != nil {
@@ -218,6 +219,9 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			if err == nil {
 				t.Fatalf("flipping byte %d went undetected", i)
 			}
+			if !errors.Is(err, sim.ErrCheckpointCorrupt) && !errors.Is(err, sim.ErrCheckpointVersion) {
+				t.Fatalf("flipping byte %d: untyped rejection %v", i, err)
+			}
 		}
 	})
 	t.Run("version skew", func(t *testing.T) {
@@ -235,8 +239,11 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 		}
 	})
 	t.Run("truncated", func(t *testing.T) {
-		if _, err := sim.DecodeCheckpoint(data[:len(data)/2]); !errors.Is(err, sim.ErrCheckpointCorrupt) {
-			t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
+		// Empty, one byte, the envelope head, half, and all but one.
+		for _, cut := range []int{0, 1, 16, len(data) / 2, len(data) - 1} {
+			if _, err := sim.DecodeCheckpoint(data[:cut]); !errors.Is(err, sim.ErrCheckpointCorrupt) {
+				t.Fatalf("truncated to %d bytes: got %v, want ErrCheckpointCorrupt", cut, err)
+			}
 		}
 	})
 	t.Run("bundle is not a checkpoint", func(t *testing.T) {
@@ -356,88 +363,95 @@ func TestBundleRoundTrip(t *testing.T) {
 	})
 }
 
-// TestRunContextCancellation cancels a run from its observer and verifies
-// the three-way contract: the error wraps context.Canceled, the partial
-// Result is sealed at a round boundary, and a checkpoint taken after the
-// cancellation resumes to the exact uninterrupted outcome.
+// TestRunContextCancellation cancels runs from their observer at several
+// round boundaries, under FSYNC and under a seeded bounded adversary, and
+// verifies the three-way contract: the error wraps context.Canceled, the
+// partial Result is sealed at the cancelled boundary, and a checkpoint
+// taken after the cancellation resumes to the exact uninterrupted outcome.
+// The reference run and the resume set the retired Options.Workers to 1
+// or 4, which must change nothing.
 func TestRunContextCancellation(t *testing.T) {
-	build := func() *chain.Chain {
-		ch, err := generate.Spiral(6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ch
-	}
-	ref, err := sim.Gather(build(), sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := resultJSON(t, ref)
+	for _, sc := range []sched.Config{{}, {Kind: sched.BoundedAdversary, Seed: 21}} {
+		for _, workers := range []int{1, 4} {
+			for _, stopAt := range []int{1, 5, 9} {
+				t.Run(sc.String()+"_w"+strconv.Itoa(workers)+"@"+strconv.Itoa(stopAt), func(t *testing.T) {
+					// A spiral contracts for ~99 FSYNC rounds, so every
+					// cancel boundary lands mid-run.
+					build := func() *chain.Chain {
+						ch, err := generate.Spiral(6)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return ch
+					}
+					ref, err := sim.Gather(build(), sim.Options{Workers: workers, Sched: sc})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want := resultJSON(t, ref)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	const stopAt = 5
-	opts := sim.Options{Observer: sim.ObserverFunc(func(_ *chain.Chain, rep core.RoundReport) {
-		if rep.Round == stopAt-1 {
-			cancel()
-		}
-	})}
-	e, err := sim.NewEngine(build(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := e.RunContext(ctx)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if res.Rounds != stopAt {
-		t.Fatalf("cancelled at round boundary %d, want %d", res.Rounds, stopAt)
-	}
-	if res.Gathered {
-		t.Fatal("cancelled run claims gathering")
-	}
-	if res.FinalLen != e.Chain().Len() {
-		t.Fatalf("torn result: FinalLen %d, chain has %d", res.FinalLen, e.Chain().Len())
-	}
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					opts := sim.Options{Sched: sc, Observer: sim.ObserverFunc(func(_ *chain.Chain, rep core.RoundReport) {
+						if rep.Round == stopAt-1 {
+							cancel()
+						}
+					})}
+					e, err := sim.NewEngine(build(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					res, err := e.RunContext(ctx)
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("got %v, want context.Canceled", err)
+					}
+					if res.Rounds != stopAt {
+						t.Fatalf("cancelled at round boundary %d, want %d", res.Rounds, stopAt)
+					}
+					if res.Gathered {
+						t.Fatal("cancelled run claims gathering")
+					}
+					if res.FinalLen != e.Chain().Len() {
+						t.Fatalf("torn result: FinalLen %d, chain has %d", res.FinalLen, e.Chain().Len())
+					}
 
-	cp := checkpointRoundTrip(t, e)
-	rt, err := sim.Restore(cp, sim.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := rt.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := resultJSON(t, resumed); !bytes.Equal(got, want) {
-		t.Errorf("resume after cancel diverged\ngot:\n%s\nwant:\n%s", got, want)
+					cp := checkpointRoundTrip(t, e)
+					rt, err := sim.Restore(cp, sim.Options{Workers: workers})
+					if err != nil {
+						t.Fatal(err)
+					}
+					resumed, err := rt.Run()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := resultJSON(t, resumed); !bytes.Equal(got, want) {
+						t.Errorf("resume after cancel diverged\ngot:\n%s\nwant:\n%s", got, want)
+					}
+				})
+			}
+		}
 	}
 }
 
-// TestRunDeadline covers both wall-clock options: an already-expired
-// absolute Deadline and a tiny MaxWallTime must abort with ErrDeadline and
-// an untorn zero-round Result.
+// TestRunDeadline covers the wall-clock option: a tiny MaxWallTime must
+// abort with ErrDeadline and an untorn zero-round Result.
 func TestRunDeadline(t *testing.T) {
-	for name, opts := range map[string]sim.Options{
-		"absolute": {Deadline: time.Now().Add(-time.Second)},
-		"relative": {MaxWallTime: time.Nanosecond},
-	} {
-		t.Run(name, func(t *testing.T) {
-			ch, err := generate.Spiral(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			res, err := sim.Gather(ch, opts)
-			if !errors.Is(err, sim.ErrDeadline) {
-				t.Fatalf("got %v, want ErrDeadline", err)
-			}
-			if res.Rounds != 0 || res.Gathered {
-				t.Fatalf("expired deadline still ran: %+v", res)
-			}
-			if res.FinalLen != res.InitialLen {
-				t.Fatalf("torn result: FinalLen %d, InitialLen %d", res.FinalLen, res.InitialLen)
-			}
-		})
-	}
+	t.Run("relative", func(t *testing.T) {
+		ch, err := generate.Spiral(4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sim.Gather(ch, sim.Options{MaxWallTime: time.Nanosecond})
+		if !errors.Is(err, sim.ErrDeadline) {
+			t.Fatalf("got %v, want ErrDeadline", err)
+		}
+		if res.Rounds != 0 || res.Gathered {
+			t.Fatalf("expired deadline still ran: %+v", res)
+		}
+		if res.FinalLen != res.InitialLen {
+			t.Fatalf("torn result: FinalLen %d, InitialLen %d", res.FinalLen, res.InitialLen)
+		}
+	})
 }
 
 // TestEnginePanicPoisons makes the strategy panic at a chosen round

@@ -53,15 +53,13 @@ type Options struct {
 	// schedulers scale the default watchdog limit by the inverse of the
 	// scheduler's minimum activation rate.
 	Sched sched.Config
-	// Deadline, when non-zero, aborts Run/RunContext at the first round
-	// boundary at or after the wall-clock instant, returning ErrDeadline
-	// with an untorn partial Result (DESIGN.md §11). Wall-clock limits are
-	// runtime-side knobs: they never enter checkpoints, and a resumed run
-	// gets whatever limits the resuming process configures.
-	Deadline time.Time
-	// MaxWallTime is the relative form of Deadline, measured from the
-	// moment RunContext starts; when both are set the earlier instant
-	// wins. Zero means no wall-clock limit.
+	// MaxWallTime, when positive, aborts Run/RunContext at the first
+	// round boundary at least this long after RunContext starts,
+	// returning ErrDeadline with an untorn partial Result (DESIGN.md §11).
+	// Zero means no wall-clock limit. It is a runtime-side knob: it never
+	// enters checkpoints, and a resumed run gets whatever limit the
+	// resuming process configures. An absolute deadline is a
+	// context.WithDeadline passed to RunContext.
 	MaxWallTime time.Duration
 	// Workers is retired and ignored: every round runs on the goroutine
 	// that steps (DESIGN.md §9). It never reaches Config.Workers, so a
@@ -181,8 +179,8 @@ func (r Result) RoundsPerRobot() float64 {
 var (
 	ErrWatchdog  = errors.New("sim: watchdog expired before gathering (liveness failure)")
 	ErrInvariant = errors.New("sim: safety invariant violated")
-	// ErrDeadline aborts a run whose Options.Deadline/MaxWallTime passed
-	// before gathering. Like a cancellation it is a clean round-boundary
+	// ErrDeadline aborts a run whose Options.MaxWallTime passed before
+	// gathering. Like a cancellation it is a clean round-boundary
 	// stop: the returned Result is complete for the rounds executed.
 	ErrDeadline = errors.New("sim: wall-clock limit reached before gathering")
 	// ErrStalled is the no-progress verdict under non-FSYNC schedulers: a
@@ -492,14 +490,17 @@ func (e *Engine) Run() (Result, error) {
 	return e.RunContext(context.Background())
 }
 
-// RunContext is Run under a context and the wall-clock options: between
-// rounds it checks ctx and Options.Deadline/MaxWallTime, so cancellation
-// and deadlines always land on a round boundary — the returned Result is
+// RunContext is Run under a context and the wall-clock option: between
+// rounds it checks ctx and Options.MaxWallTime, so cancellation and
+// deadlines always land on a round boundary — the returned Result is
 // never torn, and (unless the engine is poisoned) a checkpoint taken after
 // the return resumes exactly where the run stopped. A cancelled run returns
 // an error wrapping ctx.Err(); a timed-out one wraps ErrDeadline.
 func (e *Engine) RunContext(ctx context.Context) (Result, error) {
-	deadline := e.wallDeadline()
+	var deadline time.Time
+	if e.opts.MaxWallTime > 0 {
+		deadline = time.Now().Add(e.opts.MaxWallTime)
+	}
 	for {
 		if err := ctx.Err(); err != nil {
 			return e.finish(fmt.Errorf("sim: run interrupted after %d rounds: %w", e.alg.Round(), err))
@@ -512,18 +513,6 @@ func (e *Engine) RunContext(ctx context.Context) (Result, error) {
 			return e.finish(err)
 		}
 	}
-}
-
-// wallDeadline folds Options.Deadline and Options.MaxWallTime (anchored at
-// the call) into one instant; zero means no limit.
-func (e *Engine) wallDeadline() time.Time {
-	d := e.opts.Deadline
-	if e.opts.MaxWallTime > 0 {
-		if rel := time.Now().Add(e.opts.MaxWallTime); d.IsZero() || rel.Before(d) {
-			d = rel
-		}
-	}
-	return d
 }
 
 // finish seals the Result at the current round boundary — on every exit

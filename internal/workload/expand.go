@@ -104,7 +104,7 @@ func (s Spec) ExpandItem(i int) (Item, error) {
 	strat := s.Strategies[weightedIndex(rng, len(s.Strategies), func(j int) int { return s.Strategies[j].Weight })].Strategy
 	chainSeed := rng.Int63()
 
-	ch, err := buildChain(fam.Shape, size, chainSeed)
+	ch, err := BuildChain(fam.Shape, size, chainSeed)
 	if err != nil {
 		return Item{}, fmt.Errorf("workload: item %d (%s, n=%d): %w", i, fam.Shape, size, err)
 	}
@@ -133,10 +133,11 @@ func (s Spec) ExpandItem(i int) (Item, error) {
 	}, nil
 }
 
-// buildChain materialises one scenario: a generate family, or the "bytes"
+// BuildChain materialises one scenario: a generate family, or the "bytes"
 // family (seeded random bytes decoded by the total FromBytes codec, the
-// fuzzer's hostile-input model).
-func buildChain(shape string, size int, seed int64) (*chain.Chain, error) {
+// fuzzer's hostile-input model). The chain is a pure function of the
+// three arguments.
+func BuildChain(shape string, size int, seed int64) (*chain.Chain, error) {
 	rng := rand.New(rand.NewSource(seed))
 	if shape == BytesShape {
 		data := make([]byte, size)

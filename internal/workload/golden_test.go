@@ -126,7 +126,7 @@ func TestExpandCoversMixes(t *testing.T) {
 			t.Fatalf("item %d built a chain of %d robots", it.Index, it.N)
 		}
 	}
-	for _, shape := range shapeNames() {
+	for _, shape := range ShapeNames() {
 		if families[shape] == 0 {
 			t.Errorf("family %s never drawn in %d items", shape, len(items))
 		}

@@ -173,14 +173,16 @@ func (d SizeDist) validate() error {
 // the fuzzer's hostile-input family.
 const BytesShape = "bytes"
 
-// shapeNames returns the accepted Family.Shape values in canonical order.
-func shapeNames() []string {
+// ShapeNames returns the accepted Family.Shape values in canonical order:
+// every generate family, then BytesShape. gatherfuzz's flag-built
+// campaign draws its scenario families from the same list.
+func ShapeNames() []string {
 	return append(generate.Names(), BytesShape)
 }
 
 // validShape reports whether name is an accepted Family.Shape.
 func validShape(name string) bool {
-	for _, n := range shapeNames() {
+	for _, n := range ShapeNames() {
 		if n == name {
 			return true
 		}
@@ -209,7 +211,7 @@ func (s Spec) Validate() error {
 	for i, f := range s.Families {
 		if !validShape(f.Shape) {
 			return fmt.Errorf("%w: families[%d]: unknown shape %q (have: %s)",
-				ErrBadSpec, i, f.Shape, strings.Join(shapeNames(), ", "))
+				ErrBadSpec, i, f.Shape, strings.Join(ShapeNames(), ", "))
 		}
 		if err := checkWeight(f.Weight, fmt.Sprintf("families[%d]", i)); err != nil {
 			return err
