@@ -19,7 +19,7 @@ import (
 )
 
 // TestStepAllocsRegression pins the average per-round allocation count of
-// core.Algorithm.Step on a mid-size square (n = 512). Rounds that start
+// core.Algorithm.StepActivated(nil) on a mid-size square (n = 512). Rounds that start
 // runs allocate the new Run objects (real state, every L-th round) and the
 // reusable buffers may still grow early on; everything else — merge
 // planning, decisions, hop tables, registry rebuild, report slices — must
@@ -37,7 +37,7 @@ func TestStepAllocsRegression(t *testing.T) {
 	}
 	// Warm up: first rounds grow the reusable buffers to working size.
 	for i := 0; i < 60; i++ {
-		if _, err := alg.Step(); err != nil {
+		if _, err := alg.StepActivated(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,13 +46,13 @@ func TestStepAllocsRegression(t *testing.T) {
 		if alg.Gathered() {
 			t.Fatal("chain gathered mid-measurement; enlarge the workload")
 		}
-		if _, err := alg.Step(); err != nil {
+		if _, err := alg.StepActivated(nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	const maxAllocsPerRound = 8.0
 	if avg > maxAllocsPerRound {
-		t.Errorf("Algorithm.Step allocates %.1f objects/round on average, want <= %.1f (scratch reuse regressed)", avg, maxAllocsPerRound)
+		t.Errorf("Algorithm.StepActivated(nil) allocates %.1f objects/round on average, want <= %.1f (scratch reuse regressed)", avg, maxAllocsPerRound)
 	}
 }
 

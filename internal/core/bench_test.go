@@ -23,10 +23,10 @@ func BenchmarkTrajectory(b *testing.B) {
 	b.Run("KernelStartScan/n=4096/round=2000", benchKernelStartScanMidGather4096)
 }
 
-// benchStepSquare512 measures the steady-state per-round cost of
-// Algorithm.Step — the hot path the scratch-state reuse (DESIGN.md §5)
-// keeps allocation-free. Rebuilds (off-timer) restart the workload
-// whenever it gathers.
+// benchStepSquare512 measures the steady-state per-round cost of an FSYNC
+// Algorithm.StepActivated(nil) — the hot path the scratch-state reuse
+// (DESIGN.md §5) keeps allocation-free. Rebuilds (off-timer) restart the
+// workload whenever it gathers.
 func benchStepSquare512(b *testing.B) {
 	mk := func() *Algorithm {
 		ch, err := generate.Rectangle(128, 128)
@@ -48,7 +48,7 @@ func benchStepSquare512(b *testing.B) {
 			alg = mk()
 			b.StartTimer()
 		}
-		if _, err := alg.Step(); err != nil {
+		if _, err := alg.StepActivated(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,7 +186,7 @@ func steppedSquare4096(b *testing.B, rounds int) *Algorithm {
 		b.Fatal(err)
 	}
 	for r := 0; r < rounds; r++ {
-		if _, err := alg.Step(); err != nil {
+		if _, err := alg.StepActivated(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

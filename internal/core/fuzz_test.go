@@ -43,7 +43,7 @@ func TestFuzzRoundReportConsistency(t *testing.T) {
 		}
 		prevLen := c.Len()
 		for round := 0; round < 400; round++ {
-			rep, err := alg.Step()
+			rep, err := alg.StepActivated(nil)
 			if err != nil {
 				t.Fatalf("trial %d round %d: %v", trial, round, err)
 			}

@@ -25,10 +25,10 @@ import (
 // edge diagonally — so those rounds send the activated robots' clamp hops
 // through the shared fixpoint (edgeGuard, DESIGN.md §3.6).
 //
-// The bounding box never grows (all moves point inward), so the safety
-// battery of the conformance layer (ring integrity, chain edges, no zero
-// edges, bbox monotonicity) holds under every activation scheduler; the
-// paper-specific lemma invariants do not apply (oracle.Invariant.PaperOnly).
+// The bounding box never grows (all moves point inward) and every robot
+// moves at most one king step, so the safety battery both round loops run
+// (sim.Safety) holds under every activation scheduler; the paper-specific
+// lemma invariants do not apply (sim.Invariant.PaperOnly).
 //
 // Each FSYNC round shrinks every span that is >= 2 by two, so gathering
 // takes ceil((max span - 1) / 2) rounds — linear in the initial diameter
@@ -76,9 +76,6 @@ func (lt *LinTime) Gathered() bool { return lt.ch.Gathered() }
 
 // Runs implements Strategy; the contraction has no run machinery.
 func (lt *LinTime) Runs() []*Run { return nil }
-
-// Step executes one fully synchronous round.
-func (lt *LinTime) Step() (RoundReport, error) { return lt.StepActivated(nil) }
 
 // StepActivated executes one contraction round for the activated robots
 // (nil = all). Robots that moved seed the merge resolution, so the

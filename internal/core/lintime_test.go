@@ -91,7 +91,7 @@ func TestLinTimeGathersWithinDiameterBound(t *testing.T) {
 				}
 				break
 			}
-			if _, err := lt.Step(); err != nil {
+			if _, err := lt.StepActivated(nil); err != nil {
 				t.Fatalf("%s round %d: %v", in.name, r, err)
 			}
 		}
@@ -276,7 +276,7 @@ func TestLinTimeReportShape(t *testing.T) {
 	if lt.Runs() != nil {
 		t.Fatal("LinTime.Runs() must be nil")
 	}
-	rep, err := lt.Step()
+	rep, err := lt.StepActivated(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

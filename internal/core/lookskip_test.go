@@ -392,7 +392,7 @@ func TestScanLineMatchesParser(t *testing.T) {
 				}
 				check(fmt.Sprintf("%s round %d mixed runs", in.label, round), ch, mask)
 			}
-			if _, err := alg.Step(); err != nil {
+			if _, err := alg.StepActivated(nil); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -189,7 +189,7 @@ func TestFig3aOverlapByTwo(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := c.Len()
-	rep, err := alg.Step()
+	rep, err := alg.StepActivated(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

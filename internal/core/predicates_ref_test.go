@@ -271,7 +271,7 @@ func checkGather(t testing.TB, c *chain.Chain, rounds, every int, label string) 
 		t.Fatalf("%s: %v", label, err)
 	}
 	for r := 1; r <= rounds && !alg.Gathered(); r++ {
-		if _, err := alg.Step(); err != nil {
+		if _, err := alg.StepActivated(nil); err != nil {
 			t.Fatalf("%s round %d: %v", label, r, err)
 		}
 		if r%every == 0 {

@@ -26,7 +26,7 @@ func newAlg(t *testing.T, manualRuns bool, ps ...grid.Vec) *Algorithm {
 
 func stepOK(t *testing.T, alg *Algorithm) RoundReport {
 	t.Helper()
-	rep, err := alg.Step()
+	rep, err := alg.StepActivated(nil)
 	if err != nil {
 		t.Fatalf("round %d: %v", alg.Round(), err)
 	}

@@ -56,7 +56,7 @@ func TestStrategySnapshotResumesIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := 0; i < ckptRound && !ref.Gathered(); i++ {
-				if _, err := ref.Step(); err != nil {
+				if _, err := ref.StepActivated(nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -71,8 +71,8 @@ func TestStrategySnapshotResumesIdentically(t *testing.T) {
 				if round > 10000 {
 					t.Fatalf("%s@%d: no termination", name, ckptRound)
 				}
-				repA, errA := ref.Step()
-				repB, errB := rt.Step()
+				repA, errA := ref.StepActivated(nil)
+				repB, errB := rt.StepActivated(nil)
 				if (errA == nil) != (errB == nil) {
 					t.Fatalf("%s@%d round %d: errors diverge: %v vs %v", name, ckptRound, round, errA, errB)
 				}
@@ -123,7 +123,7 @@ func TestStrategySnapshotWorkers(t *testing.T) {
 	}
 	for !ref.Gathered() {
 		stepOK(t, ref)
-		if _, err := rt.Step(); err != nil {
+		if _, err := rt.StepActivated(nil); err != nil {
 			t.Fatal(err)
 		}
 	}

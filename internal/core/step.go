@@ -40,7 +40,7 @@ type stepScratch struct {
 }
 
 // Algorithm executes the paper's gathering strategy on one chain. It owns
-// the runs and advances the configuration one FSYNC round per Step call,
+// the runs and advances the configuration one round per StepActivated call,
 // performing for every robot the three checks of Fig 15: merge, run
 // operations, and (every L-th round) run starts.
 type Algorithm struct {
@@ -60,12 +60,12 @@ type Algorithm struct {
 	nextPair   int
 
 	// plan and scratch are reused round over round (cleared, never
-	// re-allocated); their contents are valid only within one Step call.
+	// re-allocated); their contents are valid only within one round.
 	plan    *MergePlan
 	scratch stepScratch
 
 	// anomalies accumulates defensive-path counts for the current round;
-	// Step moves them into the report.
+	// StepActivated moves them into the report.
 	anomalies Anomalies
 
 	// active is the current round's activation set (nil = FSYNC), stored
@@ -218,15 +218,6 @@ func (a *Algorithm) resolveAlive(h chain.Handle, maxHops int) chain.Handle {
 	return h
 }
 
-// Step executes one fully synchronous (FSYNC) round and reports what
-// happened: every robot is activated. Stepping a gathered configuration is
-// a no-op that reports Gathered.
-//
-// The report's event slices (Starts, Ends, MergeEvents) are backed by
-// scratch buffers reused by the next Step call; callers that retain them
-// across rounds must copy (see DESIGN.md §5).
-func (a *Algorithm) Step() (RoundReport, error) { return a.StepActivated(nil) }
-
 // activeAt reports whether the robot at chain index i is activated this
 // round; a nil activation set means FSYNC (everyone is).
 func activeAt(active []bool, i int) bool {
@@ -241,6 +232,10 @@ func activeAt(active []bool, i int) bool {
 // active robots (internal/sched documents the model). A nil set is FSYNC:
 // it runs exactly like a set with every entry true, and the one
 // edge-conflict fixpoint settles the round either way.
+//
+// The report's event slices (Starts, Ends, MergeEvents) are backed by
+// scratch buffers reused by the next round; callers that retain them
+// across rounds must copy (see DESIGN.md §5).
 func (a *Algorithm) StepActivated(active []bool) (RoundReport, error) {
 	rep := RoundReport{Round: a.round}
 	if a.ch.Gathered() {

@@ -27,8 +27,6 @@ type Strategy interface {
 	Round() int
 	// Gathered reports whether the chain fits a 2x2 square.
 	Gathered() bool
-	// Step executes one fully synchronous round.
-	Step() (RoundReport, error)
 	// StepActivated executes one round in which only the robots whose
 	// ring index is marked true act; nil means every robot (FSYNC), and a
 	// set of any length but the chain's is an error. Stepping a gathered
@@ -36,8 +34,8 @@ type Strategy interface {
 	// chain's length, consumes no round and checks nothing else.
 	StepActivated(active []bool) (RoundReport, error)
 	// Runs returns the active run states for instrumentation and the
-	// engine's occupancy audit; strategies without a run machinery
-	// return nil.
+	// safety battery's run-storage check; strategies without a run
+	// machinery return nil.
 	Runs() []*Run
 	// Snapshot captures the strategy's cross-round state for the
 	// checkpoint codec (snapshot.go, DESIGN.md §11); RestoreStrategy

@@ -453,7 +453,7 @@ func E9MergelessStructure(p Params) (Outcome, error) {
 			if err != nil {
 				return sample{}, err
 			}
-			rep, err := alg.Step()
+			rep, err := alg.StepActivated(nil)
 			if err != nil {
 				return sample{}, err
 			}
@@ -598,11 +598,7 @@ func E11AblationMergeLen(p Params) (Outcome, error) {
 	o := Outcome{ID: "E11", Title: "Ablation — merge detection length (implementation bound: V-1 = 10)"}
 	ks := []int{2, 3, 4, 6, 8, 10}
 	shapes := []string{"rectangle", "walk"}
-	flat, err := ablationSweep(p, 11, "E11 k", ks, shapes, func(k int) sim.Options {
-		opts := baseline.MergeLenOptions(k)
-		opts.WatchdogFactor = 80
-		return opts
-	})
+	flat, err := ablationSweep(p, 11, "E11 k", ks, shapes, baseline.MergeLenOptions)
 	if err != nil {
 		return o, err
 	}

@@ -1,8 +1,9 @@
 // Package oracle is the model-based conformance layer of the reproduction:
 // a deliberately naive re-implementation of the FSYNC round semantics that
 // the fast engine (internal/core on the internal/chain SoA substrate) is
-// checked against in lockstep, plus a declarative invariant battery, a
-// failing-chain shrinker, and the native fuzz targets built on them.
+// checked against in lockstep, plus a declarative invariant battery (the
+// engine's safety list, sim.Safety, and the paper's two progress checks),
+// a failing-chain shrinker, and the native fuzz targets built on them.
 //
 // The model favours correctness over speed everywhere the engine favours
 // speed: robots live in a pointer-based ring (no handle arrays, no

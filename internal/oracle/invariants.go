@@ -3,131 +3,35 @@ package oracle
 import (
 	"fmt"
 
-	"gridgather/internal/chain"
 	"gridgather/internal/core"
-	"gridgather/internal/grid"
+	"gridgather/internal/sim"
 )
 
-// RoundState is what one invariant sees after a round: the engine's chain,
-// the round's report, and the cross-round context the battery maintains
-// (previous bounding box, merge recency, the start configuration's size).
-type RoundState struct {
-	Chain  *chain.Chain
-	Report core.RoundReport
-	Cfg    core.Config
-
-	// InitialLen is the robot count of the start configuration.
-	InitialLen int
-	// PrevBounds is the bounding box before this round; Empty on round 0.
-	PrevBounds grid.Box
-	// LastMergeRound is the most recent round with a merge before this
-	// one, -1 if none has happened yet.
-	LastMergeRound int
-}
-
-// Invariant is one named, declarative check of the paper's structure. A
-// non-nil error is a violation; the battery attributes it to the round.
-type Invariant struct {
-	Name  string
-	Check func(*RoundState) error
-	// FSYNCOnly marks invariants whose premise holds only under fully
-	// synchronous activation (the progress lemmas and the Theorem 1 cap).
-	// CheckWithOptions skips them under non-FSYNC schedulers; the safety
-	// invariants (ring integrity, edge safety, bbox monotonicity) carry no
-	// mark and must hold under every activation model.
-	FSYNCOnly bool
-	// PaperOnly marks invariants whose premise is the paper strategy's
-	// run machinery (Lemma 1's good-pair windows, Theorem 1's round cap).
-	// CheckWithOptions skips them when checking another strategy; the
-	// safety invariants carry no mark and must hold for every strategy.
-	PaperOnly bool
-}
-
-// Battery returns the standard invariant set, in checking order:
+// Battery returns the oracle's invariant set, in checking order: the
+// engine's safety battery (sim.Safety) followed by the paper's two
+// progress checks,
 //
-//	ring-integrity        the chain is one closed, consistently linked ring
-//	chain-edges           every edge is an axis unit or zero (safety)
-//	no-zero-edges         no co-located chain neighbours survive resolution
-//	bbox-monotone         the bounding box never grows (all moves point inward)
 //	lemma1-window         every run-start window has a merge or a good pair
 //	theorem1-round-cap    gathering finishes within (2L+1)*n rounds
 //
-// The battery is declarative so callers can extend or subset it; Check
-// runs it as given. The last two entries are FSYNCOnly and PaperOnly:
-// Lemma 1 and Theorem 1 are proven for the paper strategy under fully
-// synchronous rounds and their premises fail by design when robots sleep
-// or another strategy runs, while the four safety invariants must hold
-// under every activation model and every strategy (DESIGN.md §8, §10).
-func Battery() []Invariant {
-	return []Invariant{
-		{Name: "ring-integrity", Check: checkRingIntegrity},
-		{Name: "chain-edges", Check: checkChainEdges},
-		{Name: "no-zero-edges", Check: checkNoZeroEdges},
-		{Name: "bbox-monotone", Check: checkBoundsMonotone},
-		{Name: "lemma1-window", Check: checkLemma1Window, FSYNCOnly: true, PaperOnly: true},
-		{Name: "theorem1-round-cap", Check: checkTheorem1Cap, FSYNCOnly: true, PaperOnly: true},
-	}
-}
-
-// checkRingIntegrity verifies the linked ring against the index view: the
-// successor/predecessor links are mutual, walking Next from the head
-// visits exactly Len live robots and returns to the start, and the cyclic
-// index accessors agree with the walk.
-func checkRingIntegrity(s *RoundState) error {
-	ch := s.Chain
-	n := ch.Len()
-	if n == 0 {
-		return fmt.Errorf("chain has no robots")
-	}
-	hs := ch.Handles()
-	if len(hs) != n {
-		return fmt.Errorf("Handles() returned %d entries for Len() %d", len(hs), n)
-	}
-	for i, h := range hs {
-		if !ch.Contains(h) {
-			return fmt.Errorf("ring lists dead handle %d at index %d", h, i)
-		}
-		next := hs[(i+1)%n]
-		if got := ch.Next(h); got != next {
-			return fmt.Errorf("Next(%d) = %d, ring order says %d", h, got, next)
-		}
-		if got := ch.Prev(next); got != h {
-			return fmt.Errorf("Prev(%d) = %d, ring order says %d", next, got, h)
-		}
-		if got := ch.IndexOf(h); got != i {
-			return fmt.Errorf("IndexOf(%d) = %d, ring order says %d", h, got, i)
-		}
-		if got := ch.At(i); got != h {
-			return fmt.Errorf("At(%d) = %d, ring order says %d", i, got, h)
-		}
-	}
-	return nil
-}
-
-func checkChainEdges(s *RoundState) error { return s.Chain.CheckEdges() }
-
-func checkNoZeroEdges(s *RoundState) error { return s.Chain.CheckNoZeroEdges() }
-
-// checkBoundsMonotone asserts the geometric heart of the progress
-// argument: every movement rule (merge hops, reshapement hops, corner
-// cuts) points inward, so the bounding box can only shrink.
-func checkBoundsMonotone(s *RoundState) error {
-	if s.PrevBounds.Empty() {
-		return nil
-	}
-	cur := s.Chain.Bounds()
-	prev := s.PrevBounds
-	if cur.Min.X < prev.Min.X || cur.Min.Y < prev.Min.Y ||
-		cur.Max.X > prev.Max.X || cur.Max.Y > prev.Max.Y {
-		return fmt.Errorf("bounding box grew: %v -> %v", prev, cur)
-	}
-	return nil
+// The battery is declarative so callers can extend or subset it;
+// CheckWithOptions runs it as given. The last two entries are FSYNCOnly
+// and PaperOnly: Lemma 1 and Theorem 1 are proven for the paper strategy
+// under fully synchronous rounds and their premises fail by design when
+// robots sleep or another strategy runs, while the safety invariants must
+// hold under every activation model and every strategy (DESIGN.md §7, §8,
+// §10).
+func Battery() []sim.Invariant {
+	return append(sim.Safety(),
+		sim.Invariant{Name: "lemma1-window", Check: checkLemma1Window, FSYNCOnly: true, PaperOnly: true},
+		sim.Invariant{Name: "theorem1-round-cap", Check: checkTheorem1Cap, FSYNCOnly: true, PaperOnly: true},
+	)
 }
 
 // checkLemma1Window is Lemma 1 as a per-window assertion: at every
 // run-start round on a large enough, ungathered chain, either a merge
 // happened within the last L rounds or a good pair started this round.
-func checkLemma1Window(s *RoundState) error {
+func checkLemma1Window(s *sim.RoundState) error {
 	rep := s.Report
 	if s.Cfg.DisableRunStarts || s.Cfg.SequentialRuns {
 		return nil // the ablations deliberately break the lemma's premise
@@ -153,7 +57,7 @@ func checkLemma1Window(s *RoundState) error {
 // checkTheorem1Cap operationalises Theorem 1: gathering must complete
 // within (2L+1)*n rounds of the start configuration's n. Checked at the
 // gathering round (liveness up to that point is Check's watchdog).
-func checkTheorem1Cap(s *RoundState) error {
+func checkTheorem1Cap(s *sim.RoundState) error {
 	if !s.Report.Gathered {
 		return nil
 	}

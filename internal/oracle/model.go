@@ -723,12 +723,6 @@ func resolveAlive(nd *node, survivorOf map[*node]*node) *node {
 
 // ---- the round -------------------------------------------------------------
 
-// Step executes one fully synchronous round, mirroring core.Algorithm.Step
-// phase by phase, and reports it in the engine's report vocabulary (handles
-// in the report are the model's robot IDs, which equal the engine's
-// handles).
-func (m *Model) Step() (core.RoundReport, error) { return m.StepActivated(nil) }
-
 // activeAt mirrors core's nil-means-FSYNC activation lookup.
 func activeAt(active []bool, i int) bool {
 	return active == nil || (i >= 0 && i < len(active) && active[i])
@@ -738,7 +732,9 @@ func activeAt(active []bool, i int) bool {
 // model's re-implementation of core.Algorithm.StepActivated: sleeping
 // robots (by ring index) keep their position, start nothing, skip their
 // merge hops, and freeze their hosted runs. A nil set is FSYNC and runs
-// exactly like a set with every entry true.
+// exactly like a set with every entry true. The report uses the engine's
+// vocabulary: its handles are the model's robot IDs, which equal the
+// engine's handles.
 func (m *Model) StepActivated(active []bool) (core.RoundReport, error) {
 	rep := core.RoundReport{Round: m.round}
 	if m.Gathered() {

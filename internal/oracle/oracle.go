@@ -3,7 +3,6 @@ package oracle
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"slices"
 
 	"gridgather/internal/chain"
@@ -36,8 +35,9 @@ func (d *Divergence) Error() string {
 // Options configures CheckWithOptions.
 type Options struct {
 	// MaxRounds caps the lockstep execution. Zero selects the Theorem 1
-	// bound (2L+1)*n for the standard pipeline, or a generous watchdog for
-	// the run-disabling ablations the theorem does not speak about.
+	// bound (2L+1)*n for the paper strategy's standard FSYNC pipeline, and
+	// the engine's watchdog (sim.RoundBudget) for everything the theorem
+	// does not speak about.
 	MaxRounds int
 	// Fault arms a deliberate defect in the naive model (conformance
 	// self-tests). The comparison is symmetric, so a broken model is
@@ -61,7 +61,7 @@ type Options struct {
 	// round; nil selects Battery(). An empty non-nil slice disables it.
 	// Invariants marked FSYNCOnly are skipped under non-FSYNC schedulers,
 	// and those marked PaperOnly for every other strategy.
-	Invariants []Invariant
+	Invariants []sim.Invariant
 	// Sched selects the activation model both backends step under: one
 	// scheduler instance fills one activation set per round and the engine
 	// and the model execute it in lockstep. The zero value is FSYNC.
@@ -69,11 +69,10 @@ type Options struct {
 	// Liveness semantics depend on the model: under FSYNC the (2L+1)n
 	// Theorem 1 cap applies and not gathering in time is a divergence;
 	// under any other scheduler the theorem does not speak, so the check
-	// runs against a generous watchdog (scaled by the inverse activation
-	// rate, or MaxRounds when set) and reaching it without divergence is a
-	// clean DNF: Check returns a Result with Gathered == false and a nil
-	// error. Safety — agreement plus the non-FSYNCOnly invariants — is
-	// asserted either way, every round.
+	// runs against the engine's watchdog (sim.RoundBudget) and reaching it
+	// without divergence is a clean DNF: Check returns a Result with
+	// Gathered == false and a nil error. Safety — agreement plus the
+	// non-FSYNCOnly invariants — is asserted either way, every round.
 	Sched sched.Config
 	// Strategy selects the gathering strategy to check. The zero value
 	// (the paper strategy) is stepped beside the naive model, which
@@ -146,27 +145,19 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 	}
 	fullySync := schd.FullySync()
 
+	// The theorem assumes the paper's full FSYNC pipeline; other
+	// strategies, the ablations and the relaxed activation models get the
+	// engine's watchdog instead.
 	maxRounds := opts.MaxRounds
-	if maxRounds <= 0 {
-		if paper && fullySync && !cfg.DisableRunStarts && !cfg.SequentialRuns {
-			maxRounds = Theorem1Cap(strat.Config(), len(positions))
-		} else {
-			// The theorem assumes the paper's full FSYNC pipeline; other
-			// strategies, the ablations and the relaxed activation models
-			// get the simulator's generous liveness watchdog instead,
-			// scaled by the inverse activation rate for non-FSYNC
-			// schedulers.
-			maxRounds = sim.DefaultWatchdogFactor*len(positions) + sim.DefaultWatchdogSlack
-			if rate := schd.MinActivationRate(len(positions)); rate > 0 && rate < 1 {
-				maxRounds = int(math.Ceil(float64(maxRounds) / rate))
-			}
-		}
+	if maxRounds <= 0 && paper && fullySync && !cfg.DisableRunStarts && !cfg.SequentialRuns {
+		maxRounds = Theorem1Cap(strat.Config(), len(positions))
 	}
+	maxRounds = sim.RoundBudget(maxRounds, len(positions), schd.MinActivationRate(len(positions)))
 	battery := opts.Invariants
 	if battery == nil {
 		battery = Battery()
 	}
-	kept := make([]Invariant, 0, len(battery))
+	kept := make([]sim.Invariant, 0, len(battery))
 	for _, inv := range battery {
 		if (inv.PaperOnly && !paper) || (inv.FSYNCOnly && !fullySync) {
 			continue
@@ -174,8 +165,7 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 		kept = append(kept, inv)
 	}
 	battery = kept
-	st := &RoundState{
-		Chain:          strat.Chain(),
+	st := &sim.RoundState{
 		Cfg:            strat.Config(), // post-Validate (MaxMergeLen clamped)
 		InitialLen:     len(positions),
 		LastMergeRound: -1,
@@ -216,7 +206,6 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 			if strat, err = roundTripStrategy(opts.Strategy, strat); err != nil {
 				return res, &Divergence{Round: round, Field: "checkpoint", Engine: err.Error()}
 			}
-			st.Chain = strat.Chain()
 		}
 
 		// One scheduler, one activation set, both backends: the lockstep
@@ -224,7 +213,7 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 		// scheduler against itself.
 		active := activation(schd, round, strat.Chain().Len(), &activeBuf)
 
-		st.PrevBounds = strat.Chain().Bounds()
+		st.Begin(strat.Chain())
 		rep, err := strat.StepActivated(active)
 		if model != nil {
 			err = lockstep(round, strat, model, active, rep, err)
@@ -235,16 +224,8 @@ func CheckWithOptions(cfg core.Config, seed *chain.Chain, opts Options) (Result,
 			return res, err
 		}
 		res.TotalMerges += rep.Merges()
-		st.Report = rep
-		for _, inv := range battery {
-			if err := inv.Check(st); err != nil {
-				return res, &Divergence{Round: round,
-					Field:  "invariant:" + inv.Name,
-					Engine: err.Error()}
-			}
-		}
-		if rep.Merges() > 0 {
-			st.LastMergeRound = round
+		if name, err := st.Check(battery, rep, strat.Runs()); err != nil {
+			return res, &Divergence{Round: round, Field: "invariant:" + name, Engine: err.Error()}
 		}
 	}
 }
@@ -441,9 +422,7 @@ func GatherNaive(positions []grid.Vec, cfg core.Config, maxRounds int) (int, err
 	if err != nil {
 		return 0, err
 	}
-	if maxRounds <= 0 {
-		maxRounds = sim.DefaultWatchdogFactor*len(positions) + sim.DefaultWatchdogSlack
-	}
+	maxRounds = sim.RoundBudget(maxRounds, len(positions), 1)
 	for round := 0; ; round++ {
 		if m.Gathered() {
 			return round, nil
@@ -451,7 +430,7 @@ func GatherNaive(positions []grid.Vec, cfg core.Config, maxRounds int) (int, err
 		if round >= maxRounds {
 			return round, fmt.Errorf("oracle: model not gathered after %d rounds (n=%d)", round, len(positions))
 		}
-		if _, err := m.Step(); err != nil {
+		if _, err := m.StepActivated(nil); err != nil {
 			return round, err
 		}
 	}

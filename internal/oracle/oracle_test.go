@@ -11,6 +11,7 @@ import (
 	"gridgather/internal/generate"
 	"gridgather/internal/grid"
 	"gridgather/internal/oracle"
+	"gridgather/internal/sim"
 )
 
 // TestCheckAllFamilies drives every generator family through the lockstep
@@ -207,16 +208,24 @@ func TestGatherNaive(t *testing.T) {
 }
 
 // TestBatteryCatchesBrokenStates hand-builds states violating each
-// invariant and asserts the battery names the right one.
+// invariant and asserts the battery names the right one. The battery opens
+// with the engine's safety list, in its order.
 func TestBatteryCatchesBrokenStates(t *testing.T) {
-	find := func(name string) oracle.Invariant {
+	battery, safety := oracle.Battery(), sim.Safety()
+	for i, inv := range safety {
+		if battery[i].Name != inv.Name {
+			t.Fatalf("battery entry %d is %q, the engine's safety list has %q", i, battery[i].Name, inv.Name)
+		}
+	}
+
+	find := func(name string) sim.Invariant {
 		for _, inv := range oracle.Battery() {
 			if inv.Name == name {
 				return inv
 			}
 		}
 		t.Fatalf("no invariant %q in the battery", name)
-		return oracle.Invariant{}
+		return sim.Invariant{}
 	}
 
 	square := chain.MustNew([]grid.Vec{
@@ -224,14 +233,14 @@ func TestBatteryCatchesBrokenStates(t *testing.T) {
 	})
 
 	// bbox-monotone: pretend the previous box was smaller.
-	st := &oracle.RoundState{Chain: square, Cfg: core.DefaultConfig(), InitialLen: 4,
+	st := &sim.RoundState{Chain: square, Cfg: core.DefaultConfig(), InitialLen: 4,
 		PrevBounds: grid.BoxOf(grid.V(0, 0)), LastMergeRound: -1}
 	if err := find("bbox-monotone").Check(st); err == nil {
 		t.Error("bbox-monotone accepted a growing box")
 	}
 
 	// theorem1-round-cap: a gathering reported far beyond the cap.
-	st = &oracle.RoundState{Chain: square, Cfg: core.DefaultConfig(), InitialLen: 4,
+	st = &sim.RoundState{Chain: square, Cfg: core.DefaultConfig(), InitialLen: 4,
 		LastMergeRound: -1,
 		Report:         core.RoundReport{Round: 10_000, Gathered: true}}
 	if err := find("theorem1-round-cap").Check(st); err == nil {
@@ -239,19 +248,33 @@ func TestBatteryCatchesBrokenStates(t *testing.T) {
 	}
 
 	// lemma1-window: a run-start round with neither merges nor good pairs.
-	st = &oracle.RoundState{Chain: square, Cfg: core.DefaultConfig(), InitialLen: 64,
+	st = &sim.RoundState{Chain: square, Cfg: core.DefaultConfig(), InitialLen: 64,
 		LastMergeRound: -1,
 		Report:         core.RoundReport{Round: 13 * 4, ChainLen: 64}}
 	if err := find("lemma1-window").Check(st); err == nil {
 		t.Error("lemma1-window accepted a merge-free, pair-free window")
 	}
 
-	// ring-integrity and the edge checks accept a healthy square.
-	st = &oracle.RoundState{Chain: square, Cfg: core.DefaultConfig(), InitialLen: 4, LastMergeRound: -1}
-	for _, name := range []string{"ring-integrity", "chain-edges", "no-zero-edges"} {
-		if err := find(name).Check(st); err != nil {
-			t.Errorf("%s rejected a healthy square: %v", name, err)
+	// The safety checks accept a healthy square that did not move.
+	st = &sim.RoundState{Cfg: core.DefaultConfig(), InitialLen: 4, LastMergeRound: -1}
+	st.Begin(square)
+	for _, inv := range safety {
+		if err := inv.Check(st); err != nil {
+			t.Errorf("%s rejected a healthy square: %v", inv.Name, err)
 		}
+	}
+
+	// run-storage: four runs on one robot.
+	host := square.At(0)
+	st.Runs = []*core.Run{{ID: 1, Host: host}, {ID: 2, Host: host}, {ID: 3, Host: host}, {ID: 4, Host: host}}
+	if err := find("run-storage").Check(st); err == nil {
+		t.Error("run-storage accepted four runs on one robot")
+	}
+
+	// king-steps: a robot two columns from where Begin saw it.
+	square.MoveBy(host, grid.V(2, 0))
+	if err := find("king-steps").Check(st); err == nil {
+		t.Error("king-steps accepted a two-column move")
 	}
 }
 

@@ -2,12 +2,14 @@ package oracle_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"gridgather/internal/chain"
 	"gridgather/internal/core"
 	"gridgather/internal/generate"
+	"gridgather/internal/grid"
 	"gridgather/internal/oracle"
 	"gridgather/internal/sched"
 )
@@ -111,5 +113,22 @@ func TestNonFSYNCLivenessIsDNF(t *testing.T) {
 	}
 	if res.Rounds != 5 {
 		t.Errorf("DNF must report the executed rounds, got %d", res.Rounds)
+	}
+}
+
+// TestHugeRoundRobinKGathers: under rr:MaxInt one robot is awake per round
+// and the round budget saturates, so the four-robot doubled segment, which
+// rr:3 gathers in one round, gathers in one round here too. The budget
+// once wrapped negative here and the check returned a DNF after 0 rounds.
+func TestHugeRoundRobinKGathers(t *testing.T) {
+	ch := chain.MustNew([]grid.Vec{grid.V(0, 0), grid.V(1, 0), grid.V(2, 0), grid.V(1, 0)})
+	res, err := oracle.CheckWithOptions(core.DefaultConfig(), ch, oracle.Options{
+		Sched: sched.Config{Kind: sched.RoundRobin, K: math.MaxInt},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Gathered || res.Rounds != 1 {
+		t.Fatalf("got %+v, want gathered in 1 round", res)
 	}
 }

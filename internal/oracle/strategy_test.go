@@ -11,6 +11,7 @@ import (
 	"gridgather/internal/generate"
 	"gridgather/internal/oracle"
 	"gridgather/internal/sched"
+	"gridgather/internal/sim"
 )
 
 // TestLinTimeBatteryUnderSchedulers is the strategy arena's conformance
@@ -163,9 +164,9 @@ func TestStrategyPathReportsInvariantName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	battery := append(oracle.Battery(), oracle.Invariant{
+	battery := append(oracle.Battery(), sim.Invariant{
 		Name: "always-fails-on-2",
-		Check: func(st *oracle.RoundState) error {
+		Check: func(st *sim.RoundState) error {
 			if st.Report.Round == 2 {
 				return errors.New("injected")
 			}

@@ -292,7 +292,7 @@ func (s *roundRobin) Activate(round int, active []bool) {
 	if n == 0 {
 		return
 	}
-	window := (n + s.k - 1) / s.k
+	window := 1 + (n-1)/s.k // ceil(n/k), which cannot overflow for any k
 	start := round % n
 	for i := range active {
 		off := i - start

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 )
 
@@ -80,6 +81,23 @@ func TestRoundRobinWindow(t *testing.T) {
 		if !found {
 			t.Fatalf("contiguous group at %d (len %d) never fully activated in %d rounds — straight merge patterns there would livelock",
 				startIdx, window, n)
+		}
+	}
+}
+
+// TestRoundRobinHugeK: a cohort count far above n still activates one
+// robot per round, the window ceil(n/K) = 1, with the window sliding one
+// index per round. Computing ceil(n/K) as (n+K-1)/K overflows for these K
+// and activated nobody.
+func TestRoundRobinHugeK(t *testing.T) {
+	const n = 4
+	for _, k := range []int{math.MaxInt, math.MaxInt - 2} {
+		for r, active := range drive(t, Config{Kind: RoundRobin, K: k}, n, 2*n) {
+			for i, a := range active {
+				if a != (i == r%n) {
+					t.Fatalf("rr:%d round %d: activation %v, want only robot %d", k, r, active, r%n)
+				}
+			}
 		}
 	}
 }

@@ -119,7 +119,7 @@ func (s *Server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
 			return
 		}
-		if keys[i], err = cacheKey(ch, opts); err != nil {
+		if keys[i], err = cacheKey(ch, opts, specs[i].Workers); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("item %d: %w", i, err))
 			return
 		}

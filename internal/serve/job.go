@@ -83,7 +83,6 @@ func (s JobSpec) options() sim.Options {
 		Strategy:  s.Strategy,
 		Sched:     s.Sched,
 		MaxRounds: s.MaxRounds,
-		Workers:   s.Workers, // read by cacheKey only; the engine ignores it
 	}
 }
 
@@ -143,16 +142,17 @@ type keyPayload struct {
 }
 
 // cacheKey addresses the pinned Result of a (chain, options) pair: the
-// lowercase hex SHA-256 of the canonical JSON payload above. Identical
-// keys mean identical simulations byte for byte, which is what lets the
-// server answer a re-submission without stepping the engine.
-func cacheKey(ch *chain.Chain, opts sim.Options) (string, error) {
+// lowercase hex SHA-256 of the canonical JSON payload above, with the
+// spec's retired Workers value folded into Config.Workers. Identical keys
+// mean identical simulations byte for byte, which is what lets the server
+// answer a re-submission without stepping the engine.
+func cacheKey(ch *chain.Chain, opts sim.Options, workers int) (string, error) {
 	cfg := opts.Config
 	if cfg == (core.Config{}) {
 		cfg = core.DefaultConfig()
 	}
-	if opts.Workers > 0 {
-		cfg.Workers = opts.Workers
+	if workers > 0 {
+		cfg.Workers = workers
 	}
 	if err := cfg.Validate(); err != nil {
 		return "", err
@@ -184,5 +184,5 @@ func CacheKey(spec JobSpec) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return cacheKey(ch, opts)
+	return cacheKey(ch, opts, spec.Workers)
 }

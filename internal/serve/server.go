@@ -40,7 +40,7 @@ const (
 type Config struct {
 	// Workers is the size of the job worker pool — how many engines run
 	// concurrently. Defaults to 2. This is inter-job parallelism; each
-	// job's own intra-round parallelism is its spec's Workers field.
+	// engine steps its rounds on one goroutine.
 	Workers int
 	// QueueDepth bounds the number of admitted-but-unstarted jobs. A
 	// submission that would exceed it is refused with 429 — backpressure
@@ -442,7 +442,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	key, err := cacheKey(ch, opts)
+	key, err := cacheKey(ch, opts, spec.Workers)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -43,6 +43,9 @@ type Checkpoint struct {
 	// belong to the resuming process and are supplied to Restore via its
 	// Options. The retired Options.Workers never reaches Config, so the
 	// same run checkpoints to the same bytes whatever it was set to.
+	// WatchdogFactor and WatchdogSlack record RoundBudget's constants:
+	// every build writes DefaultWatchdogFactor and DefaultWatchdogSlack,
+	// and Restore refuses any other value but an absent one.
 	Config         core.Config       `json:"config"`
 	Strategy       core.StrategyName `json:"strategy"`
 	Sched          sched.Config      `json:"sched"`
@@ -100,8 +103,8 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 		Strategy:       e.opts.Strategy,
 		Sched:          e.opts.Sched,
 		MaxRounds:      e.opts.MaxRounds,
-		WatchdogFactor: e.opts.WatchdogFactor,
-		WatchdogSlack:  e.opts.WatchdogSlack,
+		WatchdogFactor: DefaultWatchdogFactor,
+		WatchdogSlack:  DefaultWatchdogSlack,
 		Chain:          e.Chain().Snapshot(),
 		Strat:          e.alg.Snapshot(),
 		SchedLens:      append([]int(nil), e.schedLens...),
@@ -113,7 +116,7 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 }
 
 // Restore rebuilds an engine from a checkpoint. The checkpoint supplies
-// every semantic parameter (config, strategy, scheduler, watchdog budget);
+// every semantic parameter (config, strategy, scheduler, MaxRounds);
 // opts contributes only the runtime-side knobs — CheckInvariants, Observer,
 // MaxWallTime — so the same checkpoint can resume with invariant
 // checking switched on without changing the simulated outcome. Every
@@ -161,23 +164,20 @@ func Restore(cp *Checkpoint, opts Options) (*Engine, error) {
 	if cp.StallStreak < 0 || cp.StallStreak > cp.Strat.Round {
 		return nil, fmt.Errorf("%w: stall streak %d after %d rounds", ErrCheckpointCorrupt, cp.StallStreak, cp.Strat.Round)
 	}
+	if (cp.WatchdogFactor != 0 && cp.WatchdogFactor != DefaultWatchdogFactor) ||
+		(cp.WatchdogSlack != 0 && cp.WatchdogSlack != DefaultWatchdogSlack) {
+		return nil, fmt.Errorf("%w: watchdog budget %d·n + %d, this build runs %d·n + %d", ErrCheckpointCorrupt,
+			cp.WatchdogFactor, cp.WatchdogSlack, DefaultWatchdogFactor, DefaultWatchdogSlack)
+	}
 
 	eopts := Options{
 		Config:          cp.Config,
 		Strategy:        cp.Strategy,
 		MaxRounds:       cp.MaxRounds,
-		WatchdogFactor:  cp.WatchdogFactor,
-		WatchdogSlack:   cp.WatchdogSlack,
 		CheckInvariants: opts.CheckInvariants,
 		Observer:        opts.Observer,
 		Sched:           cp.Sched,
 		MaxWallTime:     opts.MaxWallTime,
-	}
-	if eopts.WatchdogFactor <= 0 {
-		eopts.WatchdogFactor = DefaultWatchdogFactor
-	}
-	if eopts.WatchdogSlack <= 0 {
-		eopts.WatchdogSlack = DefaultWatchdogSlack
 	}
 
 	res := cp.Result

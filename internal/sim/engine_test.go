@@ -3,6 +3,7 @@ package sim_test
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"gridgather/internal/chain"
@@ -45,6 +46,26 @@ func TestStressBattery(t *testing.T) {
 				t.Errorf("%s n=%d: hard anomalies %+v", name, n, res.Anomalies)
 			}
 		}
+	}
+}
+
+// TestCheckInvariantsCatchesGrowingBox: a round that moves every robot one
+// column right keeps every edge and makes every move a king step, so only
+// the bounding-box invariant sees that the configuration grew. The safety
+// battery must end the run there with ErrInvariant, naming it.
+func TestCheckInvariantsCatchesGrowingBox(t *testing.T) {
+	ch, err := generate.Spiral(6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := sim.NewEngine(ch, sim.Options{CheckInvariants: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.ArmShift(e, 3)
+	_, err = e.Run()
+	if !errors.Is(err, sim.ErrInvariant) || !strings.Contains(err.Error(), "bbox-monotone") {
+		t.Fatalf("got %v, want ErrInvariant naming bbox-monotone", err)
 	}
 }
 

@@ -59,7 +59,6 @@ type pairTracker struct {
 	runToPair map[int]*PairRecord
 	creditors map[[2]int]int // merge key -> pair ID of first creditor
 	lastMerge int            // round of the most recent merge, -1 initially
-	seen      map[int]bool   // per-round scratch: run IDs mapped this round
 	stats     PairStats
 }
 
@@ -70,7 +69,6 @@ func newPairTracker(period int) *pairTracker {
 		pairs:     make(map[int]*PairRecord),
 		runToPair: make(map[int]*PairRecord),
 		creditors: make(map[[2]int]int),
-		seen:      make(map[int]bool),
 		lastMerge: -1,
 	}
 }
@@ -84,10 +82,6 @@ func (t *pairTracker) observe(rep core.RoundReport, chainLenBefore int) {
 	mergeFree := !mergedNow && (t.lastMerge == -1 || round-t.lastMerge >= t.period)
 
 	goodStarted := false
-	if len(rep.Starts) > 0 {
-		clear(t.seen)
-	}
-	seen := t.seen
 	for _, s := range rep.Starts {
 		if s.Pair < 0 {
 			continue
@@ -111,10 +105,8 @@ func (t *pairTracker) observe(rep core.RoundReport, chainLenBefore int) {
 				t.stats.ProgressPairs++
 			}
 		}
-		if !seen[s.RunID] {
-			t.runToPair[s.RunID] = rec
-			seen[s.RunID] = true
-		}
+		// Every start carries a fresh run ID, so no entry is overwritten.
+		t.runToPair[s.RunID] = rec
 	}
 
 	// Lemma 1 audit at run-start rounds on large enough, ungathered
@@ -244,6 +236,5 @@ func (t *pairTracker) restore(s trackerState) error {
 	t.pairs, t.runToPair, t.creditors = pairs, runToPair, creditors
 	t.lastMerge = s.LastMerge
 	t.stats = s.Stats
-	clear(t.seen)
 	return nil
 }

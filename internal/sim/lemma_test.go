@@ -119,7 +119,7 @@ func TestLemma3RunInvariants(t *testing.T) {
 	}
 	prevViolations := map[[2]int]bool{} // (rear, front) pairs seen last round
 	for round := 0; round < 300; round++ {
-		rep, err := alg.Step()
+		rep, err := alg.StepActivated(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -278,6 +278,36 @@ func TestCheckpointRejectsCorruption(t *testing.T) {
 			t.Fatalf("got %v, want ErrCheckpointCorrupt", err)
 		}
 	})
+	t.Run("watchdog budget", func(t *testing.T) {
+		// Every build writes the default constants; an absent key decodes
+		// as zero. Any other value names a budget no build runs.
+		for _, tc := range []struct {
+			factor, slack int
+			ok            bool
+		}{
+			{sim.DefaultWatchdogFactor, sim.DefaultWatchdogSlack, true},
+			{0, 0, true},
+			{0, sim.DefaultWatchdogSlack, true},
+			{sim.DefaultWatchdogFactor, 0, true},
+			{80, sim.DefaultWatchdogSlack, false},
+			{sim.DefaultWatchdogFactor, 1, false},
+			{-1, sim.DefaultWatchdogSlack, false},
+			{sim.DefaultWatchdogFactor, -sim.DefaultWatchdogSlack, false},
+		} {
+			bad, err := sim.DecodeCheckpoint(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bad.WatchdogFactor, bad.WatchdogSlack = tc.factor, tc.slack
+			_, err = sim.Restore(bad, sim.Options{})
+			if tc.ok && err != nil {
+				t.Errorf("watchdog %d·n + %d: %v", tc.factor, tc.slack, err)
+			}
+			if !tc.ok && !errors.Is(err, sim.ErrCheckpointCorrupt) {
+				t.Errorf("watchdog %d·n + %d: got %v, want ErrCheckpointCorrupt", tc.factor, tc.slack, err)
+			}
+		}
+	})
 }
 
 // TestBundleRoundTrip exercises the diagnostic-bundle codec end to end,
@@ -629,20 +659,19 @@ func TestCheckpointIgnoresWorkers(t *testing.T) {
 }
 
 // TestLimitSaturates pins the overflow behaviour of the watchdog budget:
-// absurd factors act as "no watchdog" (math.MaxInt) instead of wrapping
-// negative and killing round 0 — with and without scheduler rate scaling.
+// scaled by an absurdly low activation rate it acts as "no watchdog"
+// (math.MaxInt) instead of wrapping negative and killing round 0.
 func TestLimitSaturates(t *testing.T) {
-	for name, opts := range map[string]sim.Options{
-		"factor":       {WatchdogFactor: math.MaxInt},
-		"slack":        {WatchdogSlack: math.MaxInt},
-		"factor+sched": {WatchdogFactor: math.MaxInt, Sched: sched.Config{Kind: sched.Random, Seed: 1}},
+	for name, sc := range map[string]sched.Config{
+		"rr-K-MaxInt":     {Kind: sched.RoundRobin, K: math.MaxInt},
+		"random-p-1e-300": {Kind: sched.Random, P: 1e-300, Seed: 1},
 	} {
 		t.Run(name, func(t *testing.T) {
 			ch, err := generate.Spiral(3)
 			if err != nil {
 				t.Fatal(err)
 			}
-			e, err := sim.NewEngine(ch, opts)
+			e, err := sim.NewEngine(ch, sim.Options{Sched: sc})
 			if err != nil {
 				t.Fatal(err)
 			}

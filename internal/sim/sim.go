@@ -14,13 +14,42 @@ import (
 	"gridgather/internal/sched"
 )
 
-// Default watchdog parameters. Theorem 1 bounds gathering by 2nL + n
-// rounds (~27n for L = 13); the default allows a generous constant so the
-// watchdog only fires on genuine liveness failures.
+// The watchdog budget's constants (RoundBudget). Theorem 1 bounds
+// gathering by 2nL + n rounds (~27n for L = 13); the budget allows a
+// generous constant so the watchdog only fires on genuine liveness
+// failures.
 const (
 	DefaultWatchdogFactor = 60
 	DefaultWatchdogSlack  = 400
 )
+
+// RoundBudget is the one round limit of both round loops, sim.Engine and
+// the oracle: maxRounds when positive, otherwise the watchdog budget
+// DefaultWatchdogFactor·n + DefaultWatchdogSlack for n robots, scaled by
+// the inverse of rate, the scheduler's minimum activation rate
+// (sched.Scheduler.MinActivationRate) — a robot activated every k-th round
+// can need k times the rounds for the same progress. The scaling
+// saturates at math.MaxInt: an absurd rate acts as "no watchdog", never
+// wraps into a limit that aborts round 0.
+func RoundBudget(maxRounds, n int, rate float64) int {
+	if maxRounds > 0 {
+		return maxRounds
+	}
+	return scaleByRate(DefaultWatchdogFactor*n+DefaultWatchdogSlack, rate)
+}
+
+// scaleByRate divides a round count by an activation rate in (0, 1),
+// rounding up and saturating at math.MaxInt; any other rate leaves the
+// count unchanged.
+func scaleByRate(rounds int, rate float64) int {
+	if rate <= 0 || rate >= 1 {
+		return rounds
+	}
+	if scaled := math.Ceil(float64(rounds) / rate); scaled < math.MaxInt {
+		return int(scaled)
+	}
+	return math.MaxInt
+}
 
 // Options configures a simulation.
 type Options struct {
@@ -33,15 +62,11 @@ type Options struct {
 	// are read through core.ParseStrategy, so "paper" is the zero value.
 	Strategy core.StrategyName
 	// MaxRounds overrides the watchdog limit when positive; otherwise the
-	// limit is WatchdogFactor*n + WatchdogSlack.
+	// limit is RoundBudget's default.
 	MaxRounds int
-	// WatchdogFactor/WatchdogSlack tune the default limit; zero values
-	// fall back to the package defaults.
-	WatchdogFactor int
-	WatchdogSlack  int
-	// CheckInvariants enables the per-round safety checks (edge validity
-	// is always enforced by core; this adds the post-merge and movement
-	// checks). Costs O(n) per round.
+	// CheckInvariants runs the safety battery (Safety) after every round
+	// and ends the run with ErrInvariant at the first violation. Costs
+	// O(n) per round.
 	CheckInvariants bool
 	// Observer, when non-nil, is invoked after every round.
 	Observer Observer
@@ -50,8 +75,7 @@ type Options struct {
 	// value is FSYNC — every robot every round, the paper's model: the
 	// engine passes nil, which strategies step exactly like an all-true
 	// set, and draws, records and stall-checks nothing. Non-FSYNC
-	// schedulers scale the default watchdog limit by the inverse of the
-	// scheduler's minimum activation rate.
+	// schedulers scale the default watchdog limit (RoundBudget).
 	Sched sched.Config
 	// MaxWallTime, when positive, aborts Run/RunContext at the first
 	// round boundary at least this long after RunContext starts,
@@ -63,8 +87,8 @@ type Options struct {
 	MaxWallTime time.Duration
 	// Workers is retired and ignored: every round runs on the goroutine
 	// that steps (DESIGN.md §9). It never reaches Config.Workers, so a
-	// checkpoint's bytes do not depend on it. The field stays so that
-	// existing callers that set it still compile.
+	// checkpoint's bytes do not depend on it. Outside perfbench/ only
+	// tests set it; the field stays until the benchmark drops it.
 	Workers int
 	// AllowLivelockConfig opts into configurations that Validate rejects as
 	// provable livelocks — today MaxMergeLen < V-1 under the paper strategy,
@@ -261,11 +285,10 @@ type Engine struct {
 	// already implies a permanent fixpoint handled by the watchdog (and
 	// asserted against by the FSYNC liveness proofs).
 	stallStreak int
-	// prevPos and occupancy are per-round scratch for the invariant
-	// checks: flat per-handle tables with O(1) generation clearing
-	// (DESIGN.md §5/§6).
-	prevPos   chain.Scratch[grid.Vec]
-	occupancy chain.Scratch[int]
+	// inv is the safety battery's round state under CheckInvariants: the
+	// chain, runs and positions Safety reads (the progress context it
+	// leaves unset is read only by the oracle's paper checks).
+	inv RoundState
 }
 
 // NewEngine builds an engine for the chain. The chain is owned by the
@@ -273,12 +296,6 @@ type Engine struct {
 func NewEngine(ch *chain.Chain, opts Options) (*Engine, error) {
 	if opts.Config == (core.Config{}) {
 		opts.Config = core.DefaultConfig()
-	}
-	if opts.WatchdogFactor <= 0 {
-		opts.WatchdogFactor = DefaultWatchdogFactor
-	}
-	if opts.WatchdogSlack <= 0 {
-		opts.WatchdogSlack = DefaultWatchdogSlack
 	}
 	// Store the canonical strategy name, so "paper" runs, checkpoints and
 	// serialises exactly like the zero value.
@@ -317,29 +334,19 @@ func NewEngine(ch *chain.Chain, opts Options) (*Engine, error) {
 // cycle is max(n, RunPeriod+1) rounds — long enough that every robot has
 // been offered an activation (RoundRobin's window slides once per round,
 // period n) and every run-start period boundary has passed — scaled by the
-// inverse of the scheduler's minimum activation rate for the stochastic
-// models, exactly like the watchdog. For deterministic schedulers the
-// window provably covers a full scheduler-state repetition with nothing
-// moving, i.e. a true livelock; for stochastic ones the tail probability
-// of a live system hopping zero times across the window is negligible,
-// and the verdict stays reproducible because their activation streams are
-// seeded. Saturates like limit().
+// inverse of the scheduler's minimum activation rate, exactly like the
+// watchdog. For deterministic schedulers the window provably covers a full
+// scheduler-state repetition with nothing moving, i.e. a true livelock;
+// for stochastic ones the tail probability of a live system hopping zero
+// times across the window is negligible, and the verdict stays
+// reproducible because their activation streams are seeded. Saturates
+// like RoundBudget.
 func (e *Engine) stallWindow() int {
 	if e.sched.FullySync() {
 		return math.MaxInt
 	}
-	cycle := e.res.InitialLen
-	if p := e.opts.Config.RunPeriod + 1; p > cycle {
-		cycle = p
-	}
-	if rate := e.sched.MinActivationRate(e.res.InitialLen); rate > 0 && rate < 1 {
-		if scaled := math.Ceil(float64(cycle) / rate); scaled < math.MaxInt {
-			cycle = int(scaled)
-		} else {
-			return math.MaxInt
-		}
-	}
-	return satMul(2, cycle)
+	cycle := max(e.res.InitialLen, e.opts.Config.RunPeriod+1)
+	return satMul(2, scaleByRate(cycle, e.sched.MinActivationRate(e.res.InitialLen)))
 }
 
 // noteProgress feeds the stall detector after an executed round: progress
@@ -374,32 +381,10 @@ func (e *Engine) Chain() *chain.Chain { return e.alg.Chain() }
 // Result returns the accounting so far.
 func (e *Engine) Result() Result { return e.res }
 
-// Limit returns the watchdog round limit in force for this engine: the
-// MaxRounds override when set, otherwise the default budget scaled by the
-// scheduler's inverse activation rate.
-func (e *Engine) Limit() int { return e.limit() }
-
-// limit returns the watchdog bound for this simulation. Under a non-FSYNC
-// scheduler the FSYNC budget is scaled by the inverse of the scheduler's
-// minimum activation rate: a robot activated every k-th round can need k
-// times the rounds for the same progress. Every arithmetic step saturates
-// at math.MaxInt: an absurd WatchdogFactor must act as "no watchdog", never
-// wrap into a negative limit that aborts round 0.
-func (e *Engine) limit() int {
-	if e.opts.MaxRounds > 0 {
-		return e.opts.MaxRounds
-	}
-	base := satAdd(satMul(e.opts.WatchdogFactor, e.res.InitialLen), e.opts.WatchdogSlack)
-	if !e.sched.FullySync() {
-		if rate := e.sched.MinActivationRate(e.res.InitialLen); rate > 0 && rate < 1 {
-			if scaled := math.Ceil(float64(base) / rate); scaled < math.MaxInt {
-				base = int(scaled)
-			} else {
-				base = math.MaxInt
-			}
-		}
-	}
-	return base
+// Limit returns the watchdog round limit in force for this engine:
+// RoundBudget under its MaxRounds and its scheduler's activation rate.
+func (e *Engine) Limit() int {
+	return RoundBudget(e.opts.MaxRounds, e.res.InitialLen, e.sched.MinActivationRate(e.res.InitialLen))
 }
 
 // satMul returns a*b for non-negative operands, saturating at math.MaxInt.
@@ -408,14 +393,6 @@ func satMul(a, b int) int {
 		return math.MaxInt
 	}
 	return a * b
-}
-
-// satAdd returns a+b for non-negative operands, saturating at math.MaxInt.
-func satAdd(a, b int) int {
-	if a > math.MaxInt-b {
-		return math.MaxInt
-	}
-	return a + b
 }
 
 // Step executes one round. It returns true while the simulation should
@@ -429,7 +406,7 @@ func (e *Engine) Step() (bool, error) {
 		e.res.Gathered = true
 		return false, nil
 	}
-	if e.alg.Round() >= e.limit() {
+	if e.alg.Round() >= e.Limit() {
 		return false, fmt.Errorf("%w: %d rounds, n=%d, still %d robots in %v",
 			ErrWatchdog, e.alg.Round(), e.res.InitialLen, e.Chain().Len(), e.Chain().Bounds())
 	}
@@ -439,7 +416,7 @@ func (e *Engine) Step() (bool, error) {
 			ErrStalled, e.stallStreak, window, e.alg.Round(), e.Chain().Len(), e.Chain().Bounds())
 	}
 	if e.opts.CheckInvariants {
-		e.snapshotPositions()
+		e.inv.Begin(e.Chain())
 	}
 	lenBefore := e.Chain().Len()
 	boundsBefore := e.Chain().Bounds()
@@ -451,8 +428,8 @@ func (e *Engine) Step() (bool, error) {
 	e.noteProgress(rep, lenBefore, boundsBefore)
 	e.tracker.observe(rep, lenBefore)
 	if e.opts.CheckInvariants {
-		if err := e.checkInvariants(rep); err != nil {
-			return false, err
+		if name, err := e.inv.Check(safety, rep, e.alg.Runs()); err != nil {
+			return false, fmt.Errorf("%w: %s: %v", ErrInvariant, name, err)
 		}
 	}
 	if e.opts.Observer != nil {
@@ -567,49 +544,6 @@ func (e *Engine) activate() []bool {
 	e.sched.Activate(e.alg.Round(), e.activeBuf)
 	e.schedLens = append(e.schedLens, n)
 	return e.activeBuf
-}
-
-func (e *Engine) snapshotPositions() {
-	ch := e.Chain()
-	e.prevPos.Reset(ch.NumHandles())
-	for _, h := range ch.Handles() {
-		e.prevPos.Set(h, ch.PosOf(h))
-	}
-}
-
-// checkInvariants verifies the model's safety conditions after a round:
-// edges remain chain edges (core already guarantees this), no chain
-// neighbours stay co-located after merge resolution, every surviving robot
-// moved at most one king step, and run occupancy stays within bounds.
-func (e *Engine) checkInvariants(rep core.RoundReport) error {
-	ch := e.Chain()
-	if err := ch.CheckEdges(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvariant, err)
-	}
-	if err := ch.CheckNoZeroEdges(); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvariant, err)
-	}
-	for _, h := range ch.Handles() {
-		prev, ok := e.prevPos.Get(h)
-		if !ok {
-			return fmt.Errorf("%w: robot %d appeared from nowhere", ErrInvariant, ch.ID(h))
-		}
-		if d := ch.PosOf(h).Sub(prev); !d.IsKingStep() {
-			return fmt.Errorf("%w: robot %d moved %v in one round", ErrInvariant, ch.ID(h), d)
-		}
-	}
-	e.occupancy.Reset(ch.NumHandles())
-	for _, run := range e.alg.Runs() {
-		if !ch.Contains(run.Host) {
-			return fmt.Errorf("%w: run %d hosted on removed robot", ErrInvariant, run.ID)
-		}
-		n, _ := e.occupancy.Get(run.Host)
-		e.occupancy.Set(run.Host, n+1)
-		if n+1 > 3 {
-			return fmt.Errorf("%w: robot %d hosts %d runs", ErrInvariant, ch.ID(run.Host), n+1)
-		}
-	}
-	return nil
 }
 
 // Gather is the package-level convenience: simulate the chain to gathering
